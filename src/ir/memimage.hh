@@ -7,6 +7,11 @@
  * which the ARM host and the TAPAS accelerator communicate (paper
  * Section III: "all communication between the ARM and the accelerator
  * occurs through shared memory").
+ *
+ * The bytes live in an anonymous private mapping (memimage.cc): the
+ * kernel supplies a zero page on first touch, so an image costs time
+ * and memory in proportion to the pages a program touches, not to its
+ * size.
  */
 
 #ifndef TAPAS_IR_MEMIMAGE_HH
@@ -15,25 +20,50 @@
 #include <cstdint>
 #include <cstring>
 #include <unordered_map>
-#include <vector>
+#include <utility>
 
 #include "ir/function.hh"
 #include "support/logging.hh"
 
 namespace tapas::ir {
 
-/** Flat little-endian memory image with bounds checking. */
+/**
+ * Flat little-endian memory image with bounds checking. Move-only: a
+ * move hands the mapping over and leaves the source empty (size 0).
+ */
 class MemImage
 {
   public:
     /** Address 0 is kept unmapped so null dereferences trap. */
     static constexpr uint64_t kBase = 0x1000;
 
+    /** Throws std::bad_alloc when the mapping cannot be made. */
     explicit MemImage(uint64_t size_bytes = 64ull << 20)
-        : bytes(size_bytes, 0), bump(kBase)
+        : bytes(map(size_bytes)), nbytes(size_bytes), bump(kBase)
     {}
 
-    uint64_t sizeBytes() const { return bytes.size(); }
+    ~MemImage() { unmap(); }
+
+    MemImage(const MemImage &) = delete;
+    MemImage &operator=(const MemImage &) = delete;
+
+    MemImage(MemImage &&o) noexcept : MemImage(0) { *this = std::move(o); }
+
+    MemImage &
+    operator=(MemImage &&o) noexcept
+    {
+        if (this != &o) {
+            unmap();
+            bytes = std::exchange(o.bytes, nullptr);
+            nbytes = std::exchange(o.nbytes, 0);
+            bump = std::exchange(o.bump, kBase);
+            globalBase = std::move(o.globalBase);
+            o.globalBase.clear();
+        }
+        return *this;
+    }
+
+    uint64_t sizeBytes() const { return nbytes; }
 
     /**
      * Assign a base address to every global in `mod`.
@@ -59,16 +89,19 @@ class MemImage
         return it->second;
     }
 
-    /** Bump-allocate a fresh region. */
+    /** Bump-allocate a fresh region; `align` is a power of two. */
     uint64_t
     alloc(uint64_t size, uint64_t align = 8)
     {
-        bump = (bump + align - 1) & ~(align - 1);
-        uint64_t addr = bump;
-        bump += size;
-        tapas_assert(bump <= bytes.size(),
+        // Compared as room left above the bump pointer, so a huge
+        // size or alignment cannot wrap past the end of the image.
+        uint64_t pad = -bump & (align - 1);
+        tapas_assert(bump <= nbytes && pad <= nbytes - bump &&
+                         size <= nbytes - bump - pad,
                      "memory image exhausted (%llu bytes)",
-                     static_cast<unsigned long long>(bytes.size()));
+                     static_cast<unsigned long long>(nbytes));
+        uint64_t addr = bump + pad;
+        bump = addr + size;
         return addr;
     }
 
@@ -79,7 +112,7 @@ class MemImage
     void
     setBumpPtr(uint64_t to)
     {
-        tapas_assert(to >= kBase && to <= bytes.size(),
+        tapas_assert(to >= kBase && to <= nbytes,
                      "bad bump pointer");
         bump = to;
     }
@@ -90,7 +123,7 @@ class MemImage
     {
         check(addr, size);
         uint64_t u = 0;
-        std::memcpy(&u, &bytes[addr], size);
+        std::memcpy(&u, bytes + addr, size);
         if (size < 8) {
             uint64_t sign = uint64_t{1} << (size * 8 - 1);
             if (u & sign)
@@ -104,7 +137,7 @@ class MemImage
     storeInt(uint64_t addr, unsigned size, int64_t value)
     {
         check(addr, size);
-        std::memcpy(&bytes[addr], &value, size);
+        std::memcpy(bytes + addr, &value, size);
     }
 
     double
@@ -112,7 +145,7 @@ class MemImage
     {
         check(addr, 8);
         double d;
-        std::memcpy(&d, &bytes[addr], 8);
+        std::memcpy(&d, bytes + addr, 8);
         return d;
     }
 
@@ -120,7 +153,7 @@ class MemImage
     storeF64(uint64_t addr, double v)
     {
         check(addr, 8);
-        std::memcpy(&bytes[addr], &v, 8);
+        std::memcpy(bytes + addr, &v, 8);
     }
 
     float
@@ -128,7 +161,7 @@ class MemImage
     {
         check(addr, 4);
         float f;
-        std::memcpy(&f, &bytes[addr], 4);
+        std::memcpy(&f, bytes + addr, 4);
         return f;
     }
 
@@ -136,7 +169,7 @@ class MemImage
     storeF32(uint64_t addr, float v)
     {
         check(addr, 4);
-        std::memcpy(&bytes[addr], &v, 4);
+        std::memcpy(bytes + addr, &v, 4);
     }
 
     /** Raw byte access for workload setup/verification. */
@@ -144,14 +177,14 @@ class MemImage
     write(uint64_t addr, const void *src, uint64_t n)
     {
         check(addr, n);
-        std::memcpy(&bytes[addr], src, n);
+        std::memcpy(bytes + addr, src, n);
     }
 
     void
     read(uint64_t addr, void *dst, uint64_t n) const
     {
         check(addr, n);
-        std::memcpy(dst, &bytes[addr], n);
+        std::memcpy(dst, bytes + addr, n);
     }
 
     /** Typed helpers for workload code. */
@@ -172,16 +205,24 @@ class MemImage
     }
 
   private:
+    /** A fresh zero-filled mapping of `n` bytes, or null when `n` is
+     *  0; throws std::bad_alloc when the kernel refuses it. */
+    static uint8_t *map(uint64_t n);
+    void unmap();
+
+    /** Subtracts rather than forming `addr + n`, which could wrap
+     *  past 2^64 to a small, in-bounds value. */
     void
     check(uint64_t addr, uint64_t n) const
     {
-        tapas_assert(addr >= kBase && addr + n <= bytes.size(),
+        tapas_assert(n <= nbytes && addr >= kBase && addr <= nbytes - n,
                      "memory access [0x%llx, +%llu) out of bounds",
                      static_cast<unsigned long long>(addr),
                      static_cast<unsigned long long>(n));
     }
 
-    std::vector<uint8_t> bytes;
+    uint8_t *bytes;
+    uint64_t nbytes;
     uint64_t bump;
     std::unordered_map<const GlobalVar *, uint64_t> globalBase;
 };

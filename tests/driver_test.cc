@@ -149,6 +149,22 @@ TEST(Engine, RunResultEquals)
     EXPECT_FALSE(a.equals(b));
 }
 
+// The image size only bounds the address space: a run in a larger
+// image sees the same zeroed memory and must model the same run.
+TEST(Engine, ImageSizeDoesNotChangeRun)
+{
+    auto w64 = workloads::makeFib(10);
+    auto w256 = workloads::makeFib(10);
+    driver::AccelSimEngine e64;
+    driver::AccelSimEngine e256;
+    driver::RunResult a = e64.runWorkload(w64, 64ull << 20);
+    driver::RunResult b = e256.runWorkload(w256, 256ull << 20);
+    ASSERT_TRUE(a.ok());
+    EXPECT_TRUE(a.verifyError.empty()) << a.verifyError;
+    // Every field: result, cycles, verifyError, stats.
+    EXPECT_TRUE(a.equals(b));
+}
+
 TEST(Engine, StatFatalOnMissing)
 {
     driver::RunResult r;

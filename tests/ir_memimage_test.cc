@@ -3,6 +3,12 @@
  * Unit tests for the flat memory image.
  */
 
+#include <sys/resource.h>
+
+#include <new>
+#include <type_traits>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "ir/memimage.hh"
@@ -96,21 +102,94 @@ TEST(MemImageTest, OutOfBoundsDies)
     EXPECT_DEATH(mem.storeInt(100, 8, 1), "out of bounds");
 }
 
+// An access whose end wraps past 2^64 must not pass as in bounds.
+TEST(MemImageTest, WrappedAccessDies)
+{
+    MemImage mem(1 << 16);
+    EXPECT_DEATH(mem.loadInt(UINT64_MAX - 3, 8), "out of bounds");
+    EXPECT_DEATH(mem.storeInt(UINT64_MAX - 3, 8, 1), "out of bounds");
+    uint8_t buf[16];
+    EXPECT_DEATH(mem.read(MemImage::kBase, buf, UINT64_MAX), "out of bounds");
+}
+
 TEST(MemImageTest, ExhaustionDies)
 {
     MemImage mem(1 << 16);
     EXPECT_DEATH(mem.alloc(1 << 20), "exhausted");
+    EXPECT_DEATH(mem.alloc(UINT64_MAX - 8), "exhausted");
+    EXPECT_DEATH(mem.alloc(8, uint64_t{1} << 63), "exhausted");
+}
+
+static_assert(!std::is_copy_constructible_v<MemImage>);
+static_assert(!std::is_copy_assignable_v<MemImage>);
+static_assert(std::is_nothrow_move_constructible_v<MemImage>);
+
+TEST(MemImageTest, MoveTransfersContents)
+{
+    Module mod;
+    GlobalVar *g = mod.addGlobal("G", 64);
+    MemImage a(1 << 20);
+    a.layout(mod);
+    uint64_t pg = a.addressOf(g);
+    uint64_t p = a.alloc(64);
+    a.put<int64_t>(p, 1234);
+    uint64_t bump = a.bumpPtr();
+
+    MemImage b(std::move(a));
+    EXPECT_EQ(a.sizeBytes(), 0u);
+    EXPECT_EQ(b.sizeBytes(), uint64_t{1} << 20);
+    EXPECT_EQ(b.get<int64_t>(p), 1234);
+    EXPECT_EQ(b.bumpPtr(), bump);
+    EXPECT_EQ(b.addressOf(g), pg);
+
+    MemImage c(1 << 16);
+    c = std::move(b);
+    EXPECT_EQ(b.sizeBytes(), 0u);
+    EXPECT_EQ(c.get<int64_t>(p), 1234);
+    EXPECT_EQ(c.bumpPtr(), bump);
+    EXPECT_DEATH(b.loadInt(p, 8), "out of bounds");
+}
+
+TEST(MemImageTest, MapFailureThrowsBadAlloc)
+{
+    EXPECT_THROW(MemImage(uint64_t{1} << 62), std::bad_alloc);
+}
+
+static long
+maxRssKiB()
+{
+    struct rusage ru = {};
+    getrusage(RUSAGE_SELF, &ru);
+    return ru.ru_maxrss; // KiB on Linux
+}
+
+// Pages are committed on first touch, so a large image that the
+// program barely uses costs almost no resident memory.
+TEST(MemImageTest, UntouchedPagesCostNothing)
+{
+    long before = maxRssKiB();
+    {
+        const uint64_t size = uint64_t{1} << 30;
+        MemImage mem(size);
+        EXPECT_EQ(mem.loadInt(MemImage::kBase, 1), 0);
+        EXPECT_EQ(mem.loadInt(size - 1, 1), 0);
+        mem.storeInt(size - 4096, 1, 0x5a);
+        EXPECT_EQ(mem.loadInt(size - 4096, 1), 0x5a);
+    }
+    EXPECT_LT(maxRssKiB() - before, 16 * 1024);
 }
 
 TEST(MemImageTest, BumpPointerSaveRestore)
 {
     MemImage mem(1 << 20);
     uint64_t before = mem.bumpPtr();
-    mem.alloc(1024);
+    uint64_t p = mem.alloc(1024);
+    mem.put<int64_t>(p, -7);
     EXPECT_GT(mem.bumpPtr(), before);
     mem.setBumpPtr(before);
     EXPECT_EQ(mem.bumpPtr(), before);
-    // Next alloc reuses the space.
+    // Next alloc reuses the space, and the old contents stay.
     uint64_t again = mem.alloc(16);
     EXPECT_LT(again, before + 1024);
+    EXPECT_EQ(mem.get<int64_t>(p), -7);
 }
