@@ -23,10 +23,8 @@
  * timed runs (default 3) keeping the best host time, which filters
  * scheduler noise on shared runners. `--no-skip` disables the
  * idle-cycle fast-forward for A/B comparisons; `--scheduler
- * scan|event|both` (default both) selects the cycle-loop policy;
- * `--lowering on|off|both` (default both) selects ahead-of-time
- * micro-op execution vs the legacy IR walkers — none of these may
- * change the cycle column.
+ * scan|event|both` (default both) selects the cycle-loop policy —
+ * neither may change the cycle column.
  *
  * tools/perf_gate.py compares the --json export of a run against the
  * checked-in BENCH_simspeed.json baseline: sim_khz is a hard gate
@@ -92,7 +90,6 @@ struct Row
 {
     std::string workload;
     std::string scheduler;
-    std::string lowering; ///< "on" (micro-op tables) or "off" (legacy)
     unsigned tiles;
     uint64_t cycles;
     uint64_t events;
@@ -105,12 +102,11 @@ struct Row
 Row
 measure(const ThroughputEntry &e, unsigned tiles, unsigned reps,
         bool idle_skip, sim::Scheduler sched,
-        const char *sched_name, bool lowering)
+        const char *sched_name)
 {
     Row row;
     row.workload = e.name;
     row.scheduler = sched_name;
-    row.lowering = lowering ? "on" : "off";
     row.tiles = tiles;
     row.seconds = warmedBestOf(reps, [&]() -> double {
         workloads::Workload w = e.make();
@@ -124,7 +120,6 @@ measure(const ThroughputEntry &e, unsigned tiles, unsigned reps,
         eo.tiles = tiles;
         eo.idleSkip = idle_skip;
         eo.scheduler = sched;
-        eo.lowering = lowering;
         uint64_t events = 0;
         uint64_t skipped = 0;
         eo.observer = [&](const hls::AcceleratorDesign &,
@@ -166,7 +161,6 @@ main(int argc, char **argv)
     unsigned reps = 3;
     bool idle_skip = true;
     std::string sched_arg = "both";
-    std::string lower_arg = "both";
     std::string only;
     std::vector<unsigned> tileCounts{1, 4, 16, 64};
     std::vector<char *> rest{argv[0]};
@@ -196,15 +190,6 @@ main(int argc, char **argv)
                 tapas_fatal("--scheduler expects scan|event|both, "
                             "got '%s'", sched_arg.c_str());
             }
-        } else if (std::string(argv[i]) == "--lowering") {
-            if (++i >= argc)
-                tapas_fatal("--lowering expects on|off|both");
-            lower_arg = argv[i];
-            if (lower_arg != "on" && lower_arg != "off" &&
-                lower_arg != "both") {
-                tapas_fatal("--lowering expects on|off|both, "
-                            "got '%s'", lower_arg.c_str());
-            }
         } else {
             rest.push_back(argv[i]);
         }
@@ -222,36 +207,27 @@ main(int argc, char **argv)
     if (sched_arg == "both" || sched_arg == "event")
         scheds.emplace_back("event", sim::Scheduler::Event);
 
-    std::vector<bool> lowerings;
-    if (lower_arg == "both" || lower_arg == "on")
-        lowerings.push_back(true);
-    if (lower_arg == "both" || lower_arg == "off")
-        lowerings.push_back(false);
-
     std::vector<Row> rows;
     for (const ThroughputEntry &e : throughputSuite()) {
         if (!only.empty() && only != e.name)
             continue;
         for (unsigned tiles : tileCounts)
             for (const auto &[sname, sched] : scheds)
-                for (bool lowering : lowerings)
-                    rows.push_back(measure(e, tiles, reps, idle_skip,
-                                           sched, sname, lowering));
+                rows.push_back(measure(e, tiles, reps, idle_skip,
+                                       sched, sname));
     }
     if (rows.empty())
         tapas_fatal("--only '%s' matches no workload", only.c_str());
 
     std::cout << std::left << std::setw(12) << "workload"
-              << std::setw(7) << "sched" << std::setw(6) << "lower"
-              << std::right << std::setw(6)
+              << std::setw(7) << "sched" << std::right << std::setw(6)
               << "tiles" << std::setw(12) << "cycles" << std::setw(12)
               << "skipped" << std::setw(12) << "events"
               << std::setw(11) << "host_ms" << std::setw(11)
               << "sim_khz" << std::setw(13) << "events/s" << "\n";
     for (const Row &r : rows) {
         std::cout << std::left << std::setw(12) << r.workload
-                  << std::setw(7) << r.scheduler << std::setw(6)
-                  << r.lowering << std::right
+                  << std::setw(7) << r.scheduler << std::right
                   << std::setw(6) << r.tiles
                   << std::setw(12) << r.cycles << std::setw(12)
                   << r.skipped << std::setw(12) << r.events
@@ -271,7 +247,6 @@ main(int argc, char **argv)
         Json j = Json::object();
         j.set("workload", Json::str(r.workload));
         j.set("scheduler", Json::str(r.scheduler));
-        j.set("lowering", Json::str(r.lowering));
         j.set("tiles", Json::num(r.tiles));
         j.set("cycles", Json::num(r.cycles));
         j.set("skipped_cycles", Json::num(r.skipped));

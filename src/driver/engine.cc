@@ -225,8 +225,6 @@ AccelSimEngine::simulate(const hls::AcceleratorDesign &design,
         accel.watchdogCycles = *opts.watchdogCycles;
     accel.idleSkip = opts.idleSkip;
     accel.scheduler = opts.scheduler;
-    if (opts.lowering)
-        accel.useLowering = *opts.lowering && design.lowered != nullptr;
 
     // Run lifecycle: a wall-clock deadline is a child token over the
     // caller's cancel source, so SIGINT and --deadline compose.

@@ -429,16 +429,6 @@ class AccelSimEngine : public Engine
         bool idleSkip = true;
 
         /**
-         * Execute from the design's ahead-of-time lowered micro-op
-         * tables (default) or the legacy IR-walking interpreter loop.
-         * Byte-identical results either way (tests/sim_lower_test.cc
-         * pins this); the knob exists for differential testing and
-         * perf comparison. Unset = simulator default (lowered when
-         * the design carries tables and TAPAS_NO_LOWERING is unset).
-         */
-        std::optional<bool> lowering;
-
-        /**
          * Cycle-loop scheduling policy (sim::Scheduler): the default
          * event-driven core (per-tile sleep + wakeup calendar) or the
          * legacy full-scan reference loop. Byte-identical results

@@ -7,7 +7,7 @@ namespace tapas::ir {
 Interp::Interp(const Module &mod, MemImage &mem, Options opts)
     : mod(mod), mem(mem), opts(opts)
 {
-    if (opts.lowering && !loweringDisabledByEnv())
+    if (opts.lowering)
         lowered = std::make_unique<LoweredProgram>(mod);
 }
 

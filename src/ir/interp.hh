@@ -115,9 +115,11 @@ class Interp
 
         /**
          * Execute from ahead-of-time lowered micro-op tables
-         * (ir/lower.hh) instead of walking Instruction objects.
-         * Byte-identical results; the legacy walker remains as the
-         * differential oracle. Also disabled by TAPAS_NO_LOWERING.
+         * (ir/lower.hh, the default: 1.3-3x faster) or, when false,
+         * walk the Instruction objects directly. Results are
+         * identical. The walker shares no lowering code with the
+         * accelerator simulator, which makes it the independent
+         * reference that tests check both against.
          */
         bool lowering = true;
     };
@@ -169,7 +171,7 @@ class Interp
     InterpStats _stats;
     uint64_t steps = 0;
 
-    /** Decoded program (null when running the legacy walker). */
+    /** Decoded program (null when walking Instruction objects). */
     std::unique_ptr<LoweredProgram> lowered;
 
     /** Per-function constant pools with global addresses patched

@@ -6,8 +6,6 @@
 
 #include "ir/lower.hh"
 
-#include <cstdlib>
-
 #include "ir/basic_block.hh"
 #include "ir/function.hh"
 #include "ir/memimage.hh"
@@ -100,9 +98,8 @@ class FuncLowerer
     void pushRef(const Value *v) { lf.operands.push_back(refFor(v)); }
 
     /**
-     * Record the in-block dependences of `inst` (same predicate the
-     * legacy tryFire applied per firing attempt: instruction operands
-     * produced in the same block).
+     * Record the in-block dependences of `inst`: its instruction
+     * operands produced in the same block (the TXU's firing gate).
      */
     void
     collectDeps(MicroOp &mop, const Instruction *inst,
@@ -388,13 +385,6 @@ LoweredProgram::resolvePool(const LoweredFunc &lf, const MemImage &mem)
     for (const auto &[slot, g] : lf.globalSlots)
         pool[slot] = RtValue::fromPtr(mem.addressOf(g));
     return pool;
-}
-
-bool
-loweringDisabledByEnv()
-{
-    const char *v = std::getenv("TAPAS_NO_LOWERING");
-    return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
 }
 
 } // namespace tapas::ir

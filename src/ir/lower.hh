@@ -33,9 +33,10 @@
  *
  * The tables are built once per compiled design (behind
  * `CompiledDesign`'s shared_ptr) and shared read-only across threads,
- * runs, DSE points and checkpoints. Execution from the tables is
- * byte-identical to the legacy instruction walkers, which are kept
- * (behind `TAPAS_NO_LOWERING=1`) as a differential-testing oracle.
+ * runs, DSE points and checkpoints. The simulator executes only from
+ * the tables; the interpreter (ir/interp.hh) can also walk the
+ * Instruction objects directly, and that walker is the independent
+ * reference the tables are tested against.
  */
 
 #ifndef TAPAS_IR_LOWER_HH
@@ -275,13 +276,6 @@ class LoweredProgram
     std::vector<LoweredFunc> funcs;
     std::unordered_map<const Function *, uint32_t> byFunc;
 };
-
-/**
- * True when `TAPAS_NO_LOWERING` is set non-empty in the environment:
- * execution engines fall back to the legacy instruction walkers (the
- * differential-testing oracle).
- */
-bool loweringDisabledByEnv();
 
 } // namespace tapas::ir
 

@@ -19,11 +19,8 @@ AcceleratorSim::AcceleratorSim(const hls::AcceleratorDesign &design,
                                ir::MemImage &mem)
     : _design(design), _mem(mem), cache(design.params.mem)
 {
-    // Lowered execution defaults to on whenever the design carries
-    // decoded tables; TAPAS_NO_LOWERING forces the legacy walkers
-    // (the differential-testing oracle).
-    useLowering = design.lowered != nullptr &&
-                  !ir::loweringDisabledByEnv();
+    tapas_assert(design.lowered,
+                 "accelerator design without micro-op tables");
 
     const arch::TaskGraph &tg = *design.taskGraph;
     for (const auto &task : tg.tasks()) {
@@ -123,7 +120,7 @@ AcceleratorSim::run(const std::vector<RtValue> &top_args)
 {
     // Bind the shared constant pools to this simulation's memory
     // image once; every instance frame then indexes them read-only.
-    if (useLowering && lowPools.empty()) {
+    if (lowPools.empty()) {
         const ir::LoweredProgram &lp = *_design.lowered;
         lowPools.reserve(lp.numFuncs());
         for (size_t i = 0; i < lp.numFuncs(); ++i)

@@ -250,7 +250,6 @@ class InstanceExec
         std::vector<ir::RtValue> argVals;  // leaf formals
         const ir::CallInst *returnTo = nullptr; // caller's call inst
         const ir::BasicBlock *bb = nullptr;
-        const ir::BasicBlock *prev = nullptr;
         std::vector<NodeState> nst;        // per instruction in bb
 
         /** FiringIndex base of `func` (firing slot = base + id). */
@@ -264,11 +263,10 @@ class InstanceExec
          */
         bool fresh = true;
 
-        // Lowered-execution mirror state (null in legacy mode): the
-        // decoded function/block plus the per-function resolved
-        // constant pool (ir/lower.hh). bb/prev stay maintained in
-        // both modes so the cold paths (wake computation, call
-        // delivery, diagnostics) are shared.
+        // Decoded form of `func` and of the current block `bb`, the
+        // function's constant pool resolved against this run's
+        // memory image (ir/lower.hh), and the id of the block that
+        // branched here (phi routing; kNoSucc at function entry).
         const ir::LoweredFunc *lf = nullptr;
         const ir::LoweredBlock *lbb = nullptr;
         const ir::RtValue *pool = nullptr;
@@ -276,70 +274,59 @@ class InstanceExec
 
         /**
          * Nodes of the current block in DoneNode phase, maintained
-         * on every transition. The lowered sweep's block-completion
-         * and terminator-quiescence checks read this instead of
-         * rescanning nst; the legacy path keeps the scans, so the
-         * differential suite cross-validates the counter.
+         * on every transition. Block completion and the terminator's
+         * quiescence check read this instead of rescanning nst, so a
+         * missed or doubled update shows up as a cycle-count change
+         * (tests/sim_lower_test.cc pins cycles per workload).
          */
         uint32_t doneCount = 0;
     };
 
-    ir::RtValue evalOperand(const Frame &frame, const ir::Value *v);
-
-    /** Lowered operand fetch: indexed load + 2-bit tag switch. */
+    /** Operand fetch: indexed load + 2-bit tag switch. */
     ir::RtValue evalRef(const Frame &frame, ir::OperandRef r) const;
 
     void enterBlock(Frame &frame, const ir::BasicBlock *bb,
                     uint64_t now);
 
-    /** Try to fire one waiting node; returns false if deps pending. */
-    bool tryFire(Frame &frame, size_t idx, uint64_t now, Tile &tile);
+    /** Micro-op of node `idx` in `frame`'s current block. */
+    const ir::MicroOp &opAt(const Frame &frame, size_t idx) const;
 
     /**
-     * Lowered twin of tryFire()'s execute stage: fires node `idx`
-     * from the MicroOp table. The dependence/quiescence gate lives
-     * inline in stepL(); this only re-checks the per-cycle firing
-     * token and may still back off (memory submit reject).
+     * Fire node `idx` (micro-op `mop`), whose dependences step() has
+     * found ready. May still back off: the per-cycle firing token is
+     * taken, or the data box rejects a memory request.
      */
-    void fireL(Frame &frame, size_t idx, const ir::MicroOp &mop,
-               uint64_t now, Tile &tile);
+    void fire(Frame &frame, size_t idx, const ir::MicroOp &mop,
+              uint64_t now, Tile &tile);
+
+    /** Fill spawnScratch with the detach/call argument template. */
+    void marshalArgs(const Frame &frame, const ir::MicroOp &mop);
+
+    /** Task unit spawned by a Detach or task-Call micro-op. */
+    const arch::Task &spawnTarget(const ir::MicroOp &mop) const;
 
     /**
-     * Lowered sweep: step()'s per-node loop specialized to the
-     * decoded tables — inline dependence gate, inline Exec/Mem
-     * advance, doneCount-based block completion. Rare phases
-     * (SpawnRetry, CallWait) delegate to the shared advanceNode().
+     * Present the spawn of a Detach or task-Call node to its target
+     * unit: on acceptance the node moves to Exec (detach handshake)
+     * or CallWait; otherwise it enters/extends SpawnRetry. Returns
+     * whether the spawn was accepted.
      */
-    Status stepL(Frame &frame, uint64_t now, Tile &tile);
+    bool presentSpawn(Frame &frame, NodeState &st,
+                      const ir::MicroOp &mop, uint64_t now);
 
-    /**
-     * Fill spawnScratch with the marshaled arguments of the child
-     * spawned by the Detach at node `idx` (template refs when
-     * lowered, the child's live-in list otherwise).
-     */
-    void marshalDetachArgs(Frame &frame, size_t idx,
-                           const arch::Task &child);
-
-    /** Fill spawnScratch with the actuals of the Call at node `idx`. */
-    void marshalCallArgs(Frame &frame, size_t idx,
-                         const ir::CallInst *call);
+    /** Re-present a SpawnRetry node's spawn once its backoff ends. */
+    void retrySpawn(Frame &frame, NodeState &st,
+                    const ir::MicroOp &mop, uint64_t now);
 
     /** Enter/extend SpawnRetry after a Rejected/Dropped spawn. */
     void noteSpawnFailure(NodeState &st, SpawnOutcome oc,
                           uint64_t now);
 
-    /** Progress a fired node toward completion. */
-    void advanceNode(Frame &frame, size_t idx, uint64_t now,
-                     Tile &tile);
-
-    /** All non-phi nodes of the current block are done. */
-    bool blockDone(const Frame &frame) const;
-
     /** Handle a completed terminator: block transition / task end. */
     Status finishBlock(uint64_t now);
 
     /** Push a leaf-call frame; actuals are taken from spawnScratch. */
-    void pushLeafFrame(const ir::CallInst *call, uint64_t now);
+    void pushLeafFrame(const ir::CallInst *call);
 
     /**
      * Live top frame / frame-pool allocation. frames[0..nFrames) are
@@ -369,7 +356,7 @@ class InstanceExec
     std::vector<uint8_t> argInstMark;
 
     /**
-     * Activation-record stack. A deque, not a vector: tryFire() can
+     * Activation-record stack. A deque, not a vector: fire() can
      * push a leaf-call frame while step() still holds a reference to
      * the current frame, and deque growth never invalidates
      * references to existing elements. Only frames[0..nFrames) are
@@ -384,11 +371,9 @@ class InstanceExec
     /** Spawn/call argument marshaling scratch (hoisted allocation). */
     std::vector<ir::RtValue> spawnScratch;
 
-    /** Decoded program when lowered execution is active, else null. */
-    const ir::LoweredProgram *low = nullptr;
-
-    /** Decoded form of `task`'s function (null in legacy mode). */
-    const ir::LoweredFunc *taskLf = nullptr;
+    /** The design's decoded program and `task`'s function in it. */
+    const ir::LoweredProgram &low;
+    const ir::LoweredFunc &taskLf;
 
     ir::RtValue retVal;
     bool done = false;
@@ -833,7 +818,7 @@ class AcceleratorSim
     /**
      * Un-count a speculative firing that turned out not to happen: a
      * load/store whose data-box submit was rejected retracts the
-     * progressEvent() its tryFire charged up front (exec.cc). A
+     * progressEvent() its firing charged up front (exec.cc). A
      * retry-every-cycle stall thus counts zero progress — the event
      * stream measures activity, not attempts — which is what lets
      * the event scheduler sleep a tile that is only being rejected,
@@ -1028,21 +1013,11 @@ class AcceleratorSim
      */
     Scheduler scheduler = Scheduler::Event;
 
-    /**
-     * Execute instances from the design's ahead-of-time lowered
-     * micro-op tables (ir/lower.hh) instead of walking Instruction
-     * objects. Byte-identical results either way — the legacy walker
-     * remains as the differential oracle. Defaults to on when the
-     * design carries tables and TAPAS_NO_LOWERING is unset; set
-     * before run().
-     */
-    bool useLowering;
-
-    /** Decoded program in effect for this run, or nullptr (legacy). */
-    const ir::LoweredProgram *
+    /** The design's decoded micro-op tables, shared by all tiles. */
+    const ir::LoweredProgram &
     loweredProgram() const
     {
-        return useLowering ? _design.lowered.get() : nullptr;
+        return *_design.lowered;
     }
 
     /** Resolved constant pool of lowered function `func_index`. */
@@ -1120,7 +1095,7 @@ class AcceleratorSim
     std::vector<std::unique_ptr<TaskUnit>> units;
 
     /** Per-function constant pools with global addresses patched
-     *  against _mem (lazily resolved at the first lowered run()). */
+     *  against _mem (resolved at the first run()). */
     std::vector<std::vector<ir::RtValue>> lowPools;
 
     uint64_t _cycles = 0;

@@ -3,23 +3,14 @@
  * InstanceExec: dataflow execution of one dynamic task instance
  * (the per-tile TXU pipeline of paper Section III-C).
  *
- * Two operand-fetch/firing engines share all control logic:
- *
- *  - the lowered path (stepL / fireL / evalRef) executes from the
- *    design's ahead-of-time decoded micro-op tables (ir/lower.hh):
- *    operand fetch is an indexed load plus a 2-bit tag switch,
- *    in-block dependences and latencies are pre-resolved, spawn
- *    argument lists come from per-detach templates, and block
- *    completion reads the incrementally maintained Frame::doneCount
- *    instead of rescanning node states;
- *  - the legacy path (tryFire / evalOperand) walks ir::Instruction
- *    objects and is kept as the differential-testing oracle
- *    (TAPAS_NO_LOWERING=1).
- *
- * Both produce byte-identical results (pinned by
- * tests/sim_lower_test.cc). Everything outside the firing hot loop —
- * block transitions, suspension, wake computation, call delivery —
- * is mode-independent because lowered frames keep bb/prev maintained.
+ * Instances execute from the design's ahead-of-time decoded micro-op
+ * tables (ir/lower.hh): operand fetch is an indexed load plus a 2-bit
+ * tag switch, in-block dependences and latencies are pre-resolved,
+ * spawn and call argument lists come from per-site templates, and
+ * block completion reads the incrementally maintained
+ * Frame::doneCount instead of rescanning node states. Every path of
+ * a node — its first firing, spawn retries, wake computation and
+ * call delivery — reads the same MicroOp.
  */
 
 #include "sim/accel.hh"
@@ -34,18 +25,15 @@ using ir::LoweredBlock;
 using ir::MicroDep;
 using ir::MicroKind;
 using ir::MicroOp;
-using ir::Opcode;
 using ir::OperandRef;
 using ir::RtValue;
 using ir::Value;
 
 InstanceExec::InstanceExec(AcceleratorSim &sim, const arch::Task &task,
                            const arch::FiringIndex &fidx, TaskRef self)
-    : sim(sim), task(task), fidx(fidx), self(self)
-{
-    low = sim.loweredProgram();
-    taskLf = low ? &low->funcOf(task.function()) : nullptr;
-}
+    : sim(sim), task(task), fidx(fidx), self(self),
+      low(sim.loweredProgram()), taskLf(low.funcOf(task.function()))
+{}
 
 void
 InstanceExec::reset()
@@ -59,8 +47,6 @@ InstanceExec::reset()
     done = false;
     memInFlight = 0;
     firedNodes = 0;
-    low = sim.loweredProgram();
-    taskLf = low ? &low->funcOf(task.function()) : nullptr;
 }
 
 InstanceExec::Frame &
@@ -72,7 +58,6 @@ InstanceExec::acquireFrame()
     f.func = nullptr;
     f.returnTo = nullptr;
     f.bb = nullptr;
-    f.prev = nullptr;
     f.fresh = true;
     f.fireBase = 0;
     f.lf = nullptr;
@@ -97,10 +82,8 @@ InstanceExec::start(const std::vector<RtValue> &args)
     f.func = task.function();
     f.fireBase = fidx.baseOf(f.func);
     f.regs.assign(f.func->numInstructions(), RtValue{});
-    if (low) {
-        f.lf = taskLf;
-        f.pool = sim.constPool(taskLf->index);
-    }
+    f.lf = &taskLf;
+    f.pool = sim.constPool(taskLf.index);
 
     // Resolve the marshaled live-ins to dense slots once, here, so
     // the per-cycle operand path never touches an associative
@@ -129,43 +112,6 @@ InstanceExec::start(const std::vector<RtValue> &args)
 }
 
 RtValue
-InstanceExec::evalOperand(const Frame &frame, const Value *v)
-{
-    switch (v->valueKind()) {
-      case Value::Kind::ConstantInt:
-        return RtValue::fromInt(
-            static_cast<const ir::ConstantInt *>(v)->value());
-      case Value::Kind::ConstantFloat:
-        return RtValue::fromFloat(
-            static_cast<const ir::ConstantFloat *>(v)->value());
-      case Value::Kind::Global:
-        return RtValue::fromPtr(sim.mem().addressOf(
-            static_cast<const ir::GlobalVar *>(v)));
-      case Value::Kind::Argument: {
-        auto *arg = static_cast<const ir::Argument *>(v);
-        if (frame.returnTo) {
-            tapas_assert(arg->parent() == frame.func,
-                         "leaf frame uses a foreign argument");
-            return frame.argVals[arg->index()];
-        }
-        tapas_assert(arg->index() < taskArgPresent.size() &&
-                     taskArgPresent[arg->index()],
-                     "task '%s' uses unmarshaled argument '%s'",
-                     task.name().c_str(), arg->name().c_str());
-        return taskArgVals[arg->index()];
-      }
-      case Value::Kind::Instruction:
-        // Values defined in enclosing tasks were marshaled straight
-        // into the task frame's registers by start(); ids are
-        // function-wide, so they never collide with instructions the
-        // task itself executes.
-        return frame.regs[static_cast<const Instruction *>(v)->id()];
-      default:
-        tapas_panic("unexpected operand kind in TXU");
-    }
-}
-
-RtValue
 InstanceExec::evalRef(const Frame &frame, OperandRef r) const
 {
     switch (r.tag) {
@@ -180,6 +126,10 @@ InstanceExec::evalRef(const Frame &frame, OperandRef r) const
                      task.name().c_str(), r.index);
         return taskArgVals[r.index];
       default: // Reg
+        // Values defined in enclosing tasks were marshaled straight
+        // into the task frame's registers by start(); ids are
+        // function-wide, so they never collide with instructions the
+        // task itself executes.
         return frame.regs[r.index];
     }
 }
@@ -188,328 +138,97 @@ void
 InstanceExec::enterBlock(Frame &frame, const BasicBlock *bb,
                          uint64_t now)
 {
-    frame.prev = frame.bb;
+    frame.prevId = frame.bb ? static_cast<uint32_t>(frame.bb->id())
+                            : ir::kNoSucc;
     frame.bb = bb;
+    frame.lbb = &frame.lf->blocks[bb->id()];
     frame.nst.assign(bb->size(), NodeState{});
     frame.doneCount = 0;
     frame.fresh = true; // nodes fireable before any timer expires
 
     // Phis are wires out of the instance's registers: resolve all of
     // them in parallel at block entry, zero cost.
-    if (frame.lf) {
-        frame.prevId = frame.prev
-                           ? static_cast<uint32_t>(frame.prev->id())
-                           : ir::kNoSucc;
-        frame.lbb = &frame.lf->blocks[bb->id()];
-        const LoweredBlock &lb = *frame.lbb;
-        if (lb.numPhis != 0) {
-            tapas_assert(frame.prev,
-                         "phi in a task/function entry block");
-            const ir::PhiRoute &route =
-                frame.lf->routeFor(lb, frame.prevId);
-            const OperandRef *oprs =
-                frame.lf->operands.data() + route.operandBegin;
-            phiScratch.clear();
-            phiScratch.reserve(lb.numPhis);
-            for (uint32_t i = 0; i < lb.numPhis; ++i)
-                phiScratch.push_back(evalRef(frame, oprs[i]));
-            for (uint32_t i = 0; i < lb.numPhis; ++i) {
-                frame.regs[lb.firstId + i] = phiScratch[i];
-                frame.nst[i].phase = Phase::DoneNode;
-                frame.nst[i].doneAt = now;
-            }
-            frame.doneCount = lb.numPhis;
-        }
+    const LoweredBlock &lb = *frame.lbb;
+    if (lb.numPhis == 0)
         return;
+    tapas_assert(frame.prevId != ir::kNoSucc,
+                 "phi in a task/function entry block");
+    const ir::PhiRoute &route = frame.lf->routeFor(lb, frame.prevId);
+    const OperandRef *oprs =
+        frame.lf->operands.data() + route.operandBegin;
+    phiScratch.clear();
+    phiScratch.reserve(lb.numPhis);
+    for (uint32_t i = 0; i < lb.numPhis; ++i)
+        phiScratch.push_back(evalRef(frame, oprs[i]));
+    for (uint32_t i = 0; i < lb.numPhis; ++i) {
+        frame.regs[lb.firstId + i] = phiScratch[i];
+        frame.nst[i].phase = Phase::DoneNode;
+        frame.nst[i].doneAt = now;
     }
+    frame.doneCount = lb.numPhis;
+}
 
-    auto phis = bb->phis();
-    if (!phis.empty()) {
-        tapas_assert(frame.prev, "phi in a task/function entry block");
-        phiScratch.clear();
-        phiScratch.reserve(phis.size());
-        for (ir::PhiInst *phi : phis)
-            phiScratch.push_back(
-                evalOperand(frame, phi->incomingFor(frame.prev)));
-        for (size_t i = 0; i < phis.size(); ++i) {
-            frame.regs[phis[i]->id()] = phiScratch[i];
-            frame.nst[i].phase = Phase::DoneNode;
-            frame.nst[i].doneAt = now;
-        }
-        frame.doneCount = static_cast<uint32_t>(phis.size());
-    }
+const MicroOp &
+InstanceExec::opAt(const Frame &frame, size_t idx) const
+{
+    return frame.lf->ops[frame.lbb->opBegin + idx];
+}
+
+void
+InstanceExec::marshalArgs(const Frame &frame, const MicroOp &mop)
+{
+    const OperandRef *oprs = frame.lf->operands.data() + mop.opBegin;
+    spawnScratch.clear();
+    spawnScratch.reserve(mop.opCount);
+    for (uint16_t i = 0; i < mop.opCount; ++i)
+        spawnScratch.push_back(evalRef(frame, oprs[i]));
+}
+
+const arch::Task &
+InstanceExec::spawnTarget(const MicroOp &mop) const
+{
+    if (mop.kind == MicroKind::Detach)
+        return *task.childForDetach(
+            ir::cast<const ir::DetachInst>(mop.inst));
+    return *task.calleeForCall(ir::cast<const ir::CallInst>(mop.inst));
 }
 
 bool
-InstanceExec::blockDone(const Frame &frame) const
+InstanceExec::presentSpawn(Frame &frame, NodeState &st,
+                           const MicroOp &mop, uint64_t now)
 {
-    for (const NodeState &st : frame.nst) {
-        if (st.phase != Phase::DoneNode)
-            return false;
+    marshalArgs(frame, mop);
+    const bool detach = mop.kind == MicroKind::Detach;
+    const ir::CallInst *site =
+        detach ? nullptr : ir::cast<const ir::CallInst>(mop.inst);
+    SpawnOutcome oc = sim.spawnTask(spawnTarget(mop).sid(),
+                                    spawnScratch, self, site, now);
+    if (oc != SpawnOutcome::Accepted) {
+        noteSpawnFailure(st, oc, now);
+        return false;
     }
+    if (detach) {
+        // The spawn-port handshake completes after the op latency.
+        sim.unit(self.sid).noteChildSpawned(self.slot);
+        st.phase = Phase::Exec;
+        st.doneAt = now + std::max(1u, mop.latency);
+    } else {
+        st.phase = Phase::CallWait; // task call: await the value
+    }
+    st.spawnDropStreak = 0;
     return true;
 }
 
 void
-InstanceExec::marshalDetachArgs(Frame &frame, size_t idx,
-                                const arch::Task &child)
-{
-    spawnScratch.clear();
-    if (frame.lf) {
-        const MicroOp &mop = frame.lf->ops[frame.lbb->opBegin + idx];
-        const OperandRef *oprs =
-            frame.lf->operands.data() + mop.opBegin;
-        spawnScratch.reserve(mop.opCount);
-        for (uint16_t i = 0; i < mop.opCount; ++i)
-            spawnScratch.push_back(evalRef(frame, oprs[i]));
-        return;
-    }
-    spawnScratch.reserve(child.args().size());
-    for (Value *a : child.args())
-        spawnScratch.push_back(evalOperand(frame, a));
-}
-
-void
-InstanceExec::marshalCallArgs(Frame &frame, size_t idx,
-                              const ir::CallInst *call)
-{
-    spawnScratch.clear();
-    if (frame.lf) {
-        const MicroOp &mop = frame.lf->ops[frame.lbb->opBegin + idx];
-        const OperandRef *oprs =
-            frame.lf->operands.data() + mop.opBegin;
-        spawnScratch.reserve(mop.opCount);
-        for (uint16_t i = 0; i < mop.opCount; ++i)
-            spawnScratch.push_back(evalRef(frame, oprs[i]));
-        return;
-    }
-    spawnScratch.reserve(call->numArgs());
-    for (unsigned i = 0; i < call->numArgs(); ++i)
-        spawnScratch.push_back(evalOperand(frame, call->arg(i)));
-}
-
-bool
-InstanceExec::tryFire(Frame &frame, size_t idx, uint64_t now,
-                      Tile &tile)
-{
-    const Instruction *inst = frame.bb->instructions()[idx].get();
-    unsigned base_id = frame.bb->instructions()[0]->id();
-
-    if (inst->isTerminator()) {
-        // Terminators leave the block: wait for full quiescence so no
-        // in-flight node outlives its block activation.
-        for (size_t i = 0; i < frame.nst.size(); ++i) {
-            if (i != idx && frame.nst[i].phase != Phase::DoneNode)
-                return false;
-        }
-    } else {
-        for (const Value *op : inst->operands()) {
-            if (op->valueKind() != Value::Kind::Instruction)
-                continue;
-            auto *dep = static_cast<const Instruction *>(op);
-            if (dep->parent() != frame.bb)
-                continue; // defined in an earlier block: in regs
-            if (!frame.returnTo && argInstMark[dep->id()])
-                continue; // parent-task value marshaled as an arg
-            size_t dep_idx = dep->id() - base_id;
-            if (frame.nst[dep_idx].phase != Phase::DoneNode)
-                return false;
-        }
-    }
-
-    // One token per static function unit per cycle (II = 1). The
-    // stamp now+1 marks "fired in cycle `now`" (0 = never), so the
-    // mark table needs no per-cycle clearing.
-    uint64_t &mark = tile.firedMark[frame.fireBase + inst->id()];
-    if (mark == now + 1)
-        return false;
-    mark = now + 1;
-    ++tile.firedThisCycle;
-
-    NodeState &st = frame.nst[idx];
-    Opcode op = inst->opcode();
-
-    auto finish_fixed = [&](unsigned latency) {
-        st.phase = Phase::Exec;
-        st.doneAt = now + std::max(1u, latency);
-    };
-
-    ++firedNodes;
-    sim.progressEvent();
-
-    if (ir::isIntBinary(op) || ir::isFloatBinary(op)) {
-        frame.regs[inst->id()] = ir::evalBinary(
-            op, inst->type(), evalOperand(frame, inst->operand(0)),
-            evalOperand(frame, inst->operand(1)));
-        finish_fixed(arch::opLatency(arch::opClassOf(op)));
-        return true;
-    }
-    if (ir::isCast(op)) {
-        auto *c = ir::cast<ir::CastInst>(inst);
-        frame.regs[inst->id()] = ir::evalCast(
-            op, c->src()->type(), c->type(),
-            evalOperand(frame, c->src()));
-        finish_fixed(arch::opLatency(arch::OpClass::Cast));
-        return true;
-    }
-
-    switch (op) {
-      case Opcode::ICmp:
-      case Opcode::FCmp: {
-        auto *cmp = ir::cast<ir::CmpInst>(inst);
-        frame.regs[inst->id()] = ir::evalCmp(
-            op, cmp->pred(), cmp->lhs()->type(),
-            evalOperand(frame, cmp->lhs()),
-            evalOperand(frame, cmp->rhs()));
-        finish_fixed(arch::opLatency(arch::OpClass::Compare));
-        return true;
-      }
-      case Opcode::Select: {
-        auto *sel = ir::cast<ir::SelectInst>(inst);
-        bool c = evalOperand(frame, sel->cond()).truthy();
-        frame.regs[inst->id()] = evalOperand(
-            frame, c ? sel->ifTrue() : sel->ifFalse());
-        finish_fixed(arch::opLatency(arch::OpClass::Select));
-        return true;
-      }
-      case Opcode::Gep: {
-        auto *gep = ir::cast<ir::GepInst>(inst);
-        uint64_t addr = evalOperand(frame, gep->base()).ptr();
-        for (unsigned i = 0; i < gep->numIndices(); ++i) {
-            int64_t index = evalOperand(frame, gep->index(i)).i;
-            addr += static_cast<uint64_t>(
-                index * static_cast<int64_t>(gep->stride(i)));
-        }
-        frame.regs[inst->id()] = RtValue::fromPtr(addr);
-        finish_fixed(arch::opLatency(arch::OpClass::Gep));
-        return true;
-      }
-      case Opcode::Alloca: {
-        auto *al = ir::cast<ir::AllocaInst>(inst);
-        // Stack RAM bump; space is taken from the shared image and
-        // intentionally not recycled (see DESIGN.md).
-        frame.regs[inst->id()] =
-            RtValue::fromPtr(sim.mem().alloc(al->sizeBytes(), 8));
-        finish_fixed(arch::opLatency(arch::OpClass::Alloca));
-        return true;
-      }
-      case Opcode::Load: {
-        auto *ld = ir::cast<ir::LoadInst>(inst);
-        uint64_t addr = evalOperand(frame, ld->addr()).ptr();
-        MemTicket ticket;
-        if (!tile.box.submit(addr, false, now, ticket)) {
-            mark = 0; // no structural issue happened
-            --tile.firedThisCycle;
-            --firedNodes;
-            sim.retractProgressEvent();
-            return false;
-        }
-        ir::Type t = ld->type();
-        if (t.isFloat()) {
-            frame.regs[inst->id()] = RtValue::fromFloat(
-                t.bits() == 32 ? sim.mem().loadF32(addr)
-                               : sim.mem().loadF64(addr));
-        } else {
-            frame.regs[inst->id()] = RtValue::fromInt(
-                sim.mem().loadInt(addr, t.sizeBytes()));
-        }
-        st.phase = Phase::Mem;
-        st.ticket = ticket;
-        ++memInFlight;
-        return true;
-      }
-      case Opcode::Store: {
-        auto *sti = ir::cast<ir::StoreInst>(inst);
-        uint64_t addr = evalOperand(frame, sti->addr()).ptr();
-        MemTicket ticket;
-        if (!tile.box.submit(addr, true, now, ticket)) {
-            mark = 0;
-            --tile.firedThisCycle;
-            --firedNodes;
-            sim.retractProgressEvent();
-            return false;
-        }
-        ir::Type t = sti->value()->type();
-        RtValue v = evalOperand(frame, sti->value());
-        if (t.isFloat()) {
-            if (t.bits() == 32)
-                sim.mem().storeF32(addr, static_cast<float>(v.f));
-            else
-                sim.mem().storeF64(addr, v.f);
-        } else {
-            sim.mem().storeInt(addr, t.sizeBytes(), v.i);
-        }
-        st.phase = Phase::Mem;
-        st.ticket = ticket;
-        ++memInFlight;
-        return true;
-      }
-      case Opcode::Call: {
-        auto *call = ir::cast<ir::CallInst>(inst);
-        marshalCallArgs(frame, idx, call);
-
-        if (call->callee()->hasDetach()) {
-            // Task call: spawn the callee's task unit, await value.
-            tapas_assert(!frame.returnTo,
-                         "task call inside an inlined leaf call");
-            arch::Task *callee = task.calleeForCall(call);
-            SpawnOutcome oc = sim.spawnTask(
-                callee->sid(), spawnScratch, self, call, now);
-            if (oc == SpawnOutcome::Accepted)
-                st.phase = Phase::CallWait;
-            else
-                noteSpawnFailure(st, oc, now);
-            return true;
-        }
-        // Leaf call: push an inlined activation record.
-        st.phase = Phase::LeafCall;
-        pushLeafFrame(call, now);
-        return true;
-      }
-      case Opcode::Br:
-        finish_fixed(arch::opLatency(arch::OpClass::Branch));
-        return true;
-      case Opcode::Ret: {
-        auto *ret = ir::cast<ir::RetInst>(inst);
-        if (ret->hasValue())
-            retVal = evalOperand(frame, ret->value());
-        finish_fixed(arch::opLatency(arch::OpClass::Return));
-        return true;
-      }
-      case Opcode::Detach: {
-        auto *det = ir::cast<ir::DetachInst>(inst);
-        arch::Task *child = task.childForDetach(det);
-        marshalDetachArgs(frame, idx, *child);
-        SpawnOutcome oc = sim.spawnTask(child->sid(), spawnScratch,
-                                        self, nullptr, now);
-        if (oc == SpawnOutcome::Accepted) {
-            sim.unit(self.sid).noteChildSpawned(self.slot);
-            finish_fixed(arch::opLatency(arch::OpClass::Detach));
-        } else {
-            noteSpawnFailure(st, oc, now);
-        }
-        return true;
-      }
-      case Opcode::Reattach:
-        finish_fixed(sim.params().joinLatency);
-        return true;
-      case Opcode::Sync:
-        st.phase = Phase::SyncWait; // resolved against the counter
-        return true;
-      default:
-        tapas_panic("TXU cannot execute '%s'", ir::opcodeName(op));
-    }
-}
-
-void
-InstanceExec::fireL(Frame &frame, size_t idx, const MicroOp &mop,
-                    uint64_t now, Tile &tile)
+InstanceExec::fire(Frame &frame, size_t idx, const MicroOp &mop,
+                   uint64_t now, Tile &tile)
 {
     const ir::LoweredFunc &lf = *frame.lf;
     const OperandRef *oprs = lf.operands.data() + mop.opBegin;
 
-    // One token per static function unit per cycle (II = 1); see
-    // tryFire for the generation-stamp scheme.
+    // One token per static function unit per cycle (II = 1). The
+    // stamp now+1 marks "fired in cycle `now`" (0 = never), so the
+    // mark table needs no per-cycle clearing.
     uint64_t &mark = tile.firedMark[frame.fireBase + mop.id];
     if (mark == now + 1)
         return;
@@ -616,28 +335,19 @@ InstanceExec::fireL(Frame &frame, size_t idx, const MicroOp &mop,
         ++memInFlight;
         return;
       }
-      case MicroKind::Call: {
-        auto *call = ir::cast<ir::CallInst>(mop.inst);
-        marshalCallArgs(frame, idx, call);
-
+      case MicroKind::Call:
         if (mop.calleeHasDetach) {
             // Task call: spawn the callee's task unit, await value.
             tapas_assert(!frame.returnTo,
                          "task call inside an inlined leaf call");
-            arch::Task *callee = task.calleeForCall(call);
-            SpawnOutcome oc = sim.spawnTask(
-                callee->sid(), spawnScratch, self, call, now);
-            if (oc == SpawnOutcome::Accepted)
-                st.phase = Phase::CallWait;
-            else
-                noteSpawnFailure(st, oc, now);
+            presentSpawn(frame, st, mop, now);
             return;
         }
         // Leaf call: push an inlined activation record.
+        marshalArgs(frame, mop);
         st.phase = Phase::LeafCall;
-        pushLeafFrame(call, now);
+        pushLeafFrame(ir::cast<const ir::CallInst>(mop.inst));
         return;
-      }
       case MicroKind::Br:
         finish_fixed(mop.latency);
         return;
@@ -646,20 +356,9 @@ InstanceExec::fireL(Frame &frame, size_t idx, const MicroOp &mop,
             retVal = evalRef(frame, oprs[0]);
         finish_fixed(mop.latency);
         return;
-      case MicroKind::Detach: {
-        auto *det = ir::cast<ir::DetachInst>(mop.inst);
-        arch::Task *child = task.childForDetach(det);
-        marshalDetachArgs(frame, idx, *child);
-        SpawnOutcome oc = sim.spawnTask(child->sid(), spawnScratch,
-                                        self, nullptr, now);
-        if (oc == SpawnOutcome::Accepted) {
-            sim.unit(self.sid).noteChildSpawned(self.slot);
-            finish_fixed(mop.latency);
-        } else {
-            noteSpawnFailure(st, oc, now);
-        }
+      case MicroKind::Detach:
+        presentSpawn(frame, st, mop, now);
         return;
-      }
       case MicroKind::Reattach:
         // Join latency is a run-time parameter (params().joinLatency),
         // deliberately not baked into the tables: the same lowered
@@ -676,97 +375,23 @@ InstanceExec::fireL(Frame &frame, size_t idx, const MicroOp &mop,
 }
 
 void
-InstanceExec::advanceNode(Frame &frame, size_t idx, uint64_t now,
-                          Tile &tile)
+InstanceExec::retrySpawn(Frame &frame, NodeState &st,
+                         const MicroOp &mop, uint64_t now)
 {
-    NodeState &st = frame.nst[idx];
-
-    switch (st.phase) {
-      case Phase::Exec:
-        if (st.doneAt <= now) {
-            st.phase = Phase::DoneNode;
-            ++frame.doneCount;
-            sim.progressEvent();
+    // Re-attempt the spawn each cycle (ready/valid back-pressure)
+    // — except while backing off after a dropped handshake.
+    if (now < st.nextRetryAt)
+        return;
+    if (st.spawnDropStreak > 0) {
+        // This re-presentation is fault recovery, not ordinary
+        // back-pressure: count it and tell the sinks.
+        if (FaultInjector *inj = sim.faultInjector()) {
+            ++inj->spawnRetries;
+            sim.emitRecovery(now, "spawn_retry", self.sid);
         }
-        break;
-      case Phase::Mem:
-        if (tile.box.poll(st.ticket, now)) {
-            st.phase = Phase::DoneNode;
-            st.doneAt = now;
-            ++frame.doneCount;
-            --memInFlight;
-            sim.progressEvent();
-        }
-        break;
-      case Phase::SpawnRetry: {
-        // Re-attempt the spawn each cycle (ready/valid back-pressure)
-        // — except while backing off after a dropped handshake.
-        if (now < st.nextRetryAt)
-            break;
-        if (st.spawnDropStreak > 0) {
-            // This re-presentation is fault recovery, not ordinary
-            // back-pressure: count it and tell the sinks.
-            if (FaultInjector *inj = sim.faultInjector()) {
-                ++inj->spawnRetries;
-                sim.emitRecovery(now, "spawn_retry", self.sid);
-            }
-        }
-        const Instruction *inst = frame.bb->instructions()[idx].get();
-        if (inst->opcode() == Opcode::Detach) {
-            auto *det = ir::cast<const ir::DetachInst>(inst);
-            arch::Task *child = task.childForDetach(det);
-            marshalDetachArgs(frame, idx, *child);
-            SpawnOutcome oc = sim.spawnTask(child->sid(),
-                                            spawnScratch, self,
-                                            nullptr, now);
-            if (oc == SpawnOutcome::Accepted) {
-                sim.unit(self.sid).noteChildSpawned(self.slot);
-                st.phase = Phase::Exec;
-                st.doneAt =
-                    now + arch::opLatency(arch::OpClass::Detach);
-                st.spawnDropStreak = 0;
-                sim.progressEvent();
-            } else {
-                noteSpawnFailure(st, oc, now);
-            }
-        } else {
-            auto *call = ir::cast<const ir::CallInst>(inst);
-            arch::Task *callee = task.calleeForCall(call);
-            marshalCallArgs(frame, idx, call);
-            SpawnOutcome oc = sim.spawnTask(callee->sid(),
-                                            spawnScratch, self,
-                                            call, now);
-            if (oc == SpawnOutcome::Accepted) {
-                st.phase = Phase::CallWait;
-                st.spawnDropStreak = 0;
-                sim.progressEvent();
-            } else {
-                noteSpawnFailure(st, oc, now);
-            }
-        }
-        break;
-      }
-      case Phase::SyncWait:
-        // Resolved in step() against the unit's join counter.
-        break;
-      case Phase::CallWait:
-        if (st.callDelivered) {
-            const Instruction *inst =
-                frame.bb->instructions()[idx].get();
-            if (!inst->type().isVoid())
-                frame.regs[inst->id()] = st.callValue;
-            st.phase = Phase::DoneNode;
-            st.doneAt = now;
-            ++frame.doneCount;
-            sim.progressEvent();
-        }
-        break;
-      case Phase::LeafCall:
-        // Completed by the callee frame's Ret (see finishBlock).
-        break;
-      default:
-        break;
     }
+    if (presentSpawn(frame, st, mop, now))
+        sim.progressEvent();
 }
 
 void
@@ -788,19 +413,16 @@ InstanceExec::noteSpawnFailure(NodeState &st, SpawnOutcome oc,
 }
 
 void
-InstanceExec::pushLeafFrame(const ir::CallInst *call, uint64_t now)
+InstanceExec::pushLeafFrame(const ir::CallInst *call)
 {
-    (void)now;
     Frame &f = acquireFrame();
     f.func = call->callee();
     f.fireBase = fidx.baseOf(f.func);
     f.regs.assign(f.func->numInstructions(), RtValue{});
     f.argVals.assign(spawnScratch.begin(), spawnScratch.end());
     f.returnTo = call;
-    if (low) {
-        f.lf = &low->funcOf(f.func);
-        f.pool = sim.constPool(f.lf->index);
-    }
+    f.lf = &low.funcOf(f.func);
+    f.pool = sim.constPool(f.lf->index);
 }
 
 uint64_t
@@ -855,15 +477,8 @@ InstanceExec::nextWake(uint64_t now, const DataBox &box,
                 // caller cannot register waits.
                 if (!spawn_waits)
                     return 0;
-                const Instruction *inst =
-                    frame.bb->instructions()[i].get();
-                arch::Task *target =
-                    inst->opcode() == Opcode::Detach
-                        ? task.childForDetach(
-                              ir::cast<const ir::DetachInst>(inst))
-                        : task.calleeForCall(
-                              ir::cast<const ir::CallInst>(inst));
-                spawn_waits->push_back(target->sid());
+                spawn_waits->push_back(
+                    spawnTarget(opAt(frame, i)).sid());
                 break;
               }
               case Phase::CallWait:
@@ -921,72 +536,8 @@ InstanceExec::step(uint64_t now, Tile &tile)
     // the block no longer blocks idle-skip (see Frame::fresh).
     frame.fresh = false;
 
-    if (frame.lf)
-        return stepL(frame, now, tile);
-
-    bool has_sync_wait = false;
-    bool has_call_wait = false;
-    bool busy = false; // Exec/Mem/SpawnRetry/LeafCall in flight
-
-    for (size_t i = 0; i < frame.nst.size(); ++i) {
-        NodeState &st = frame.nst[i];
-        if (st.phase == Phase::Waiting)
-            tryFire(frame, i, now, tile);
-        if (st.phase != Phase::Waiting &&
-            st.phase != Phase::DoneNode) {
-            advanceNode(frame, i, now, tile);
-        }
-        switch (frame.nst[i].phase) {
-          case Phase::SyncWait:
-            // Resolve against the live join counter.
-            has_sync_wait = true;
-            break;
-          case Phase::CallWait:
-            has_call_wait = true;
-            break;
-          case Phase::Exec:
-          case Phase::Mem:
-          case Phase::SpawnRetry:
-          case Phase::LeafCall:
-            busy = true;
-            break;
-          default:
-            break;
-        }
-    }
-
-    // Sync resolution: the unit owns the join counter; ask it.
-    if (has_sync_wait) {
-        if (sim.unit(self.sid).childCountOf(self.slot) == 0) {
-            for (size_t i = 0; i < frame.nst.size(); ++i) {
-                if (frame.nst[i].phase == Phase::SyncWait) {
-                    frame.nst[i].phase = Phase::Exec;
-                    frame.nst[i].doneAt = now + 1;
-                    sim.progressEvent();
-                }
-            }
-            has_sync_wait = false;
-            busy = true;
-        }
-    }
-
-    // Block transition once everything in the block has completed.
-    if (blockDone(frame))
-        return finishBlock(now);
-
-    if (has_sync_wait && memInFlight == 0 && !busy)
-        return Status::WaitSync;
-    if (has_call_wait && memInFlight == 0 && !busy)
-        return Status::WaitCall;
-    return Status::Running;
-}
-
-InstanceExec::Status
-InstanceExec::stepL(Frame &frame, uint64_t now, Tile &tile)
-{
-    const ir::LoweredFunc &lf = *frame.lf;
-    const MicroOp *ops = lf.ops.data() + frame.lbb->opBegin;
-    const MicroDep *depPool = lf.deps.data();
+    const MicroOp *ops = frame.lf->ops.data() + frame.lbb->opBegin;
+    const MicroDep *depPool = frame.lf->deps.data();
     NodeState *nst = frame.nst.data();
     const size_t n = frame.nst.size();
 
@@ -996,8 +547,8 @@ InstanceExec::stepL(Frame &frame, uint64_t now, Tile &tile)
 
     for (size_t i = 0; i < n; ++i) {
         NodeState &st = nst[i];
+        const MicroOp &mop = ops[i];
         if (st.phase == Phase::Waiting) {
-            const MicroOp &mop = ops[i];
             bool ready;
             // MicroKind orders the five terminators (Br..Sync) last.
             if (mop.kind >= MicroKind::Br) {
@@ -1020,14 +571,11 @@ InstanceExec::stepL(Frame &frame, uint64_t now, Tile &tile)
                 }
             }
             if (ready)
-                fireL(frame, i, mop, now, tile);
+                fire(frame, i, mop, now, tile);
             if (st.phase == Phase::Waiting)
                 continue; // not ready, token clash, or mem reject
         }
-        // Advance + census, merged. The hot Exec/Mem polls are
-        // inlined; the rare control phases share advanceNode() with
-        // the legacy sweep, censusing the post-advance phase exactly
-        // as step() does.
+        // Advance the fired node, then census its new phase.
         switch (st.phase) {
           case Phase::DoneNode:
             break;
@@ -1052,25 +600,31 @@ InstanceExec::stepL(Frame &frame, uint64_t now, Tile &tile)
             }
             break;
           case Phase::SyncWait:
+            // Resolved below against the unit's join counter.
             has_sync_wait = true;
             break;
           case Phase::LeafCall:
+            // Completed by the callee frame's Ret (see finishBlock).
             busy = true;
             break;
           case Phase::CallWait:
-          case Phase::SpawnRetry:
-            advanceNode(frame, i, now, tile);
-            switch (st.phase) {
-              case Phase::CallWait:
+            if (!st.callDelivered) {
                 has_call_wait = true;
                 break;
-              case Phase::Exec:
-              case Phase::SpawnRetry:
-                busy = true;
-                break;
-              default:
-                break;
             }
+            if (!mop.isVoid)
+                frame.regs[mop.id] = st.callValue;
+            st.phase = Phase::DoneNode;
+            st.doneAt = now;
+            ++frame.doneCount;
+            sim.progressEvent();
+            break;
+          case Phase::SpawnRetry:
+            retrySpawn(frame, st, mop, now);
+            if (st.phase == Phase::CallWait)
+                has_call_wait = true;
+            else
+                busy = true; // Exec (detach accepted) or SpawnRetry
             break;
           default:
             break;
@@ -1107,59 +661,41 @@ InstanceExec::Status
 InstanceExec::finishBlock(uint64_t now)
 {
     Frame &frame = topFrame();
-    const Instruction *term = frame.bb->terminator();
+    const MicroOp &t = frame.lf->ops[frame.lbb->opEnd - 1];
 
-    switch (term->opcode()) {
-      case Opcode::Br: {
-        const BasicBlock *next;
-        if (frame.lf) {
-            const MicroOp &t = frame.lf->ops[frame.lbb->opEnd - 1];
-            uint32_t nid =
-                (t.opCount != 0 &&
-                 !evalRef(frame, frame.lf->operands[t.opBegin])
-                      .truthy())
-                    ? t.succ1
-                    : t.succ0;
-            next = frame.lf->blocks[nid].bb;
-        } else {
-            auto *br = ir::cast<const ir::BranchInst>(term);
-            next = br->ifTrue();
-            if (br->isConditional() &&
-                !evalOperand(frame, br->cond()).truthy()) {
-                next = br->ifFalse();
-            }
-        }
-        enterBlock(frame, next, now);
+    switch (t.kind) {
+      case MicroKind::Br: {
+        uint32_t next =
+            (t.opCount != 0 &&
+             !evalRef(frame, frame.lf->operands[t.opBegin]).truthy())
+                ? t.succ1
+                : t.succ0;
+        enterBlock(frame, frame.lf->blocks[next].bb, now);
         return Status::Running;
       }
-      case Opcode::Detach: {
-        auto *det = ir::cast<const ir::DetachInst>(term);
-        enterBlock(frame, det->cont(), now);
+      case MicroKind::Detach:
+      case MicroKind::Sync:
+        // Continue in this task; a detached body runs in the child.
+        enterBlock(frame, frame.lf->blocks[t.succ1].bb, now);
         return Status::Running;
-      }
-      case Opcode::Sync: {
-        auto *sy = ir::cast<const ir::SyncInst>(term);
-        enterBlock(frame, sy->cont(), now);
-        return Status::Running;
-      }
-      case Opcode::Reattach:
+      case MicroKind::Reattach:
         tapas_assert(nFrames == 1,
                      "reattach inside an inlined leaf call");
         done = true;
         return Status::Done;
-      case Opcode::Ret: {
+      case MicroKind::Ret: {
         if (nFrames > 1) {
             // Leaf call returns: deliver to the caller's call node.
             const ir::CallInst *site = frame.returnTo;
             RtValue v = retVal;
             --nFrames; // pop; the frame stays pooled for reuse
             Frame &caller = topFrame();
-            unsigned base = caller.bb->instructions()[0]->id();
-            size_t idx = site->id() - base;
-            tapas_assert(caller.bb->instructions()[idx].get() == site,
+            size_t idx = site->id() - caller.lbb->firstId;
+            const MicroOp &call = opAt(caller, idx);
+            tapas_assert(call.inst == site,
                          "leaf return to a foreign call site");
-            if (!site->type().isVoid())
-                caller.regs[site->id()] = v;
+            if (!call.isVoid)
+                caller.regs[call.id] = v;
             caller.nst[idx].phase = Phase::DoneNode;
             caller.nst[idx].doneAt = now;
             ++caller.doneCount;
@@ -1180,10 +716,9 @@ InstanceExec::deliverCallResult(const ir::CallInst *site, RtValue v)
     // Task calls only occur in the task frame (frames[0]).
     Frame &frame = frames[0];
     tapas_assert(frame.bb, "call result before instance started");
-    unsigned base = frame.bb->instructions()[0]->id();
-    size_t idx = site->id() - base;
+    size_t idx = site->id() - frame.lbb->firstId;
     tapas_assert(idx < frame.nst.size() &&
-                 frame.bb->instructions()[idx].get() == site,
+                 opAt(frame, idx).inst == site,
                  "call result for a node outside the current block");
     NodeState &st = frame.nst[idx];
     tapas_assert(st.phase == Phase::CallWait,

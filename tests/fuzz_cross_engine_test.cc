@@ -2,8 +2,9 @@
  * @file
  * Cross-engine differential testing: randomly generated parallel
  * programs must compute byte-identical results on the reference
- * interpreter (serial elision) and on the cycle-level accelerator
- * simulator (real parallel schedule), across random hardware
+ * interpreter (serial elision, walking Instruction objects) and on
+ * the cycle-level accelerator simulator (real parallel schedule,
+ * executing lowered micro-ops), across random hardware
  * parameterizations. This is the strongest functional invariant in
  * the repository: scheduling must never change program results.
  *
@@ -162,10 +163,14 @@ TEST_P(CrossEngineFuzz, InterpAndAccelAgree)
                 static_cast<int64_t>(seed % 977))};
     };
 
-    // Reference run.
+    // Reference run on the interpreter's instruction walker: it
+    // shares no lowering code with the simulator, only the scalar
+    // evaluators (evalBinary, evalCmp, evalCast).
     MemImage mem_ref(16 << 20);
     auto args_ref = fill(mem_ref);
-    Interp interp(*g.module, mem_ref);
+    Interp::Options walker;
+    walker.lowering = false;
+    Interp interp(*g.module, mem_ref, walker);
     interp.run(*g.top, args_ref);
 
     // Accelerator run under a random parameterization.

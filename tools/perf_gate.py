@@ -3,9 +3,7 @@
 
 Compares a fresh `bench/sim_throughput --json` report against the
 checked-in baseline (BENCH_simspeed.json at the repo root) row by row,
-keyed on (workload, scheduler, lowering, tiles) — rows lacking a
-scheduler or lowering key (older baselines) key on "" for the missing
-field and still match a current report without one. The metric is simulated KHz —
+keyed on (workload, scheduler, tiles). The metric is simulated KHz —
 simulated cycles per wall-clock second — so it tracks simulator
 speed, not workload behavior. Cycle counts are also cross-checked
 exactly: a cycle drift means the simulator's *timing model* changed,
@@ -42,7 +40,7 @@ import sys
 
 
 def load_rows(path):
-    """Map (workload, scheduler, lowering, tiles) -> row dict."""
+    """Map (workload, scheduler, tiles) -> row dict."""
     with open(path) as f:
         doc = json.load(f)
     rows = doc.get("rows", [])
@@ -50,27 +48,21 @@ def load_rows(path):
         sys.exit(f"error: {path} has no benchmark rows")
     out = {}
     for r in rows:
-        if "workload" not in r or "tiles" not in r:
-            print(f"  warn: {path} has a row without workload/tiles "
-                  "keys; skipped")
+        if not {"workload", "scheduler", "tiles"} <= r.keys():
+            print(f"  warn: {path} has a row without workload/"
+                  "scheduler/tiles keys; skipped")
             continue
-        out[(r["workload"], r.get("scheduler", ""),
-             r.get("lowering", ""), r["tiles"])] = r
+        out[(r["workload"], r["scheduler"], r["tiles"])] = r
     return out
 
 
 def row_label(key):
-    workload, scheduler, lowering, _tiles = key
-    label = workload
-    if scheduler:
-        label += f"/{scheduler}"
-    if lowering:
-        label += f"/low={lowering}"
-    return label
+    workload, scheduler, _tiles = key
+    return f"{workload}/{scheduler}"
 
 
 def row_name(key):
-    return f"{row_label(key)} x{key[3]}"
+    return f"{row_label(key)} x{key[2]}"
 
 
 def main():
@@ -131,7 +123,7 @@ def main():
         else:
             status = "ok"
         label = row_label(key)
-        print(f"{label:<22} {key[3]:>5} {b['sim_khz']:>10.1f} "
+        print(f"{label:<22} {key[2]:>5} {b['sim_khz']:>10.1f} "
               f"{c['sim_khz']:>10.1f} {ratio:>6.2f}x  {status}")
         b_eps = b.get("events_per_sec")
         c_eps = c.get("events_per_sec")

@@ -15,10 +15,6 @@ that intentionally record wall-clock facts about the producing run:
                     byte-identical across schedulers, which is
                     exactly what the CI scheduler-equivalence diff
                     checks by stripping it
-  lowering          whether a row ran from the ahead-of-time micro-op
-                    tables or the legacy IR walkers — same contract:
-                    modeled content must be byte-identical across the
-                    two engines (the CI lowering-equivalence diff)
 
 (Modelled "seconds" fields — simulated cycles over Fmax — are
 deterministic and deliberately NOT stripped.)
@@ -49,7 +45,6 @@ VOLATILE_KEYS = {
     "sim_khz",
     "events_per_sec",
     "scheduler",
-    "lowering",
 }
 
 
