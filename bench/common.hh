@@ -43,6 +43,7 @@
 #include "driver/jobrunner.hh"
 #include "support/atomic_file.hh"
 #include "support/cancel.hh"
+#include "support/flags.hh"
 #include "support/json.hh"
 #include "support/manifest.hh"
 #include "support/table.hh"
@@ -119,30 +120,6 @@ benchManifest()
     return m;
 }
 
-/** Parse a decimal flag argument; fatal() on garbage. */
-inline unsigned
-parseUnsigned(const std::string &flag, const std::string &text)
-{
-    char *end = nullptr;
-    unsigned long v = std::strtoul(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0')
-        tapas_fatal("%s expects a number, got '%s'", flag.c_str(),
-                    text.c_str());
-    return static_cast<unsigned>(v);
-}
-
-/** Parse a non-negative (possibly scientific) rate argument. */
-inline double
-parseRate(const std::string &flag, const std::string &text)
-{
-    char *end = nullptr;
-    double v = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0' || v < 0)
-        tapas_fatal("%s expects a non-negative number, got '%s'",
-                    flag.c_str(), text.c_str());
-    return v;
-}
-
 /** Parse the common bench CLI; fatal()s on unknown flags. */
 inline BenchOptions
 parseBenchArgs(int argc, char **argv)
@@ -159,7 +136,7 @@ parseBenchArgs(int argc, char **argv)
             return argv[i];
         };
         if (a == "--jobs") {
-            cli_jobs = parseUnsigned(a, next());
+            cli_jobs = parseUnsignedFlag(a, next());
         } else if (a == "--json") {
             opt.jsonPath = next();
         } else if (a == "--trace") {
@@ -169,14 +146,13 @@ parseBenchArgs(int argc, char **argv)
         } else if (a == "--explain") {
             opt.explain = true;
         } else if (a == "--fault-rate") {
-            opt.faultRate = parseRate(a, next());
+            opt.faultRate = parseRealFlag(a, next(), 0, 1);
             opt.faultGiven = true;
         } else if (a == "--fault-seed") {
-            opt.faultSeed =
-                std::strtoull(next().c_str(), nullptr, 0);
+            opt.faultSeed = parseUintFlag(a, next());
             opt.faultGiven = true;
         } else if (a == "--max-retries") {
-            opt.maxRetries = parseUnsigned(a, next());
+            opt.maxRetries = parseUnsignedFlag(a, next());
             opt.faultGiven = true;
         } else if (a == "--help" || a == "-h") {
             std::cout << "usage: " << argv[0]

@@ -142,16 +142,14 @@ main(int argc, char **argv)
             }
             strategy = *parsed;
         } else if (a == "--rungs") {
-            rungs = parseUnsigned(a, next());
-            if (rungs == 0)
-                tapas_fatal("--rungs expects at least 1");
+            rungs = parseUnsignedFlag(a, next(), 1);
         } else if (a == "--journal") {
             journal_base = next();
         } else if (a == "--resume") {
             journal_base = next();
             do_resume = true;
         } else if (a == "--deadline") {
-            deadline_sec = parseRate(a, next());
+            deadline_sec = parseRealFlag(a, next());
         } else if (a == "--help" || a == "-h") {
             std::cout << "usage: " << argv[0]
                       << " [--bench saxpy|fib|dedup]"

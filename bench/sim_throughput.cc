@@ -2,9 +2,7 @@
  * @file
  * Simulation-throughput harness: how fast does the cycle-level
  * simulator itself run on the host? For four representative
- * workloads at tile counts {1, 4, 16, 64} and both cycle-loop
- * schedulers (the legacy full scan and the event-driven core) it
- * reports
+ * workloads at tile counts {1, 4, 16, 64} it reports
  *
  *   sim_khz        simulated cycles per host second / 1000
  *   events_per_sec progress events (spawns, firings, completions,
@@ -17,14 +15,11 @@
  * which are benchmark harness costs, not simulator ones. Every run
  * is still verified, outside the timer.
  *
- * Modeled results (cycles, spawns, verification) are deterministic
- * and scheduler-independent; only the wall-clock columns vary run to
- * run. Each configuration gets one untimed warm-up, then `--reps`
- * timed runs (default 3) keeping the best host time, which filters
- * scheduler noise on shared runners. `--no-skip` disables the
- * idle-cycle fast-forward for A/B comparisons; `--scheduler
- * scan|event|both` (default both) selects the cycle-loop policy —
- * neither may change the cycle column.
+ * Modeled results (cycles, spawns, verification) are deterministic;
+ * only the wall-clock columns vary run to run. Each configuration
+ * gets one untimed warm-up, then `--reps` timed runs (default 3)
+ * keeping the best host time, which filters OS scheduling noise on
+ * shared runners. `--only NAME` and `--tiles N` narrow the grid.
  *
  * tools/perf_gate.py compares the --json export of a run against the
  * checked-in BENCH_simspeed.json baseline: sim_khz is a hard gate
@@ -89,7 +84,6 @@ throughputSuite()
 struct Row
 {
     std::string workload;
-    std::string scheduler;
     unsigned tiles;
     uint64_t cycles;
     uint64_t events;
@@ -100,13 +94,10 @@ struct Row
 };
 
 Row
-measure(const ThroughputEntry &e, unsigned tiles, unsigned reps,
-        bool idle_skip, sim::Scheduler sched,
-        const char *sched_name)
+measure(const ThroughputEntry &e, unsigned tiles, unsigned reps)
 {
     Row row;
     row.workload = e.name;
-    row.scheduler = sched_name;
     row.tiles = tiles;
     row.seconds = warmedBestOf(reps, [&]() -> double {
         workloads::Workload w = e.make();
@@ -118,8 +109,6 @@ measure(const ThroughputEntry &e, unsigned tiles, unsigned reps,
         if (e.tweak)
             e.tweak(*eo.params);
         eo.tiles = tiles;
-        eo.idleSkip = idle_skip;
-        eo.scheduler = sched;
         uint64_t events = 0;
         uint64_t skipped = 0;
         eo.observer = [&](const hls::AcceleratorDesign &,
@@ -156,43 +145,26 @@ measure(const ThroughputEntry &e, unsigned tiles, unsigned reps,
 int
 main(int argc, char **argv)
 {
-    // Peel off --reps/--no-skip/--scheduler before the common parser
-    // (it rejects unknown flags); the rest is the standard bench CLI.
+    // Peel off --reps/--only/--tiles before the common parser (it
+    // rejects unknown flags); the rest is the standard bench CLI.
     unsigned reps = 3;
-    bool idle_skip = true;
-    std::string sched_arg = "both";
     std::string only;
     std::vector<unsigned> tileCounts{1, 4, 16, 64};
     std::vector<char *> rest{argv[0]};
     for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--reps") {
-            if (++i >= argc)
-                tapas_fatal("--reps expects an argument");
-            reps = parseUnsigned("--reps", argv[i]);
-            if (reps == 0)
-                tapas_fatal("--reps must be >= 1");
-        } else if (std::string(argv[i]) == "--no-skip") {
-            idle_skip = false;
-        } else if (std::string(argv[i]) == "--only") {
-            if (++i >= argc)
-                tapas_fatal("--only expects a workload name");
-            only = argv[i];
-        } else if (std::string(argv[i]) == "--tiles") {
-            if (++i >= argc)
-                tapas_fatal("--tiles expects an argument");
-            tileCounts = {parseUnsigned("--tiles", argv[i])};
-        } else if (std::string(argv[i]) == "--scheduler") {
-            if (++i >= argc)
-                tapas_fatal("--scheduler expects scan|event|both");
-            sched_arg = argv[i];
-            if (sched_arg != "scan" && sched_arg != "event" &&
-                sched_arg != "both") {
-                tapas_fatal("--scheduler expects scan|event|both, "
-                            "got '%s'", sched_arg.c_str());
-            }
-        } else {
+        std::string a = argv[i];
+        if (a != "--reps" && a != "--only" && a != "--tiles") {
             rest.push_back(argv[i]);
+            continue;
         }
+        if (++i >= argc)
+            tapas_fatal("%s expects an argument", a.c_str());
+        if (a == "--reps")
+            reps = parseUnsignedFlag(a, argv[i], 1);
+        else if (a == "--only")
+            only = argv[i];
+        else
+            tileCounts = {parseUnsignedFlag(a, argv[i], 1)};
     }
     BenchOptions opt = parseBenchArgs(
         static_cast<int>(rest.size()), rest.data());
@@ -201,34 +173,24 @@ main(int argc, char **argv)
            "host-side simulator throughput (wall-clock; modeled "
            "results unchanged)");
 
-    std::vector<std::pair<const char *, sim::Scheduler>> scheds;
-    if (sched_arg == "both" || sched_arg == "scan")
-        scheds.emplace_back("scan", sim::Scheduler::Scan);
-    if (sched_arg == "both" || sched_arg == "event")
-        scheds.emplace_back("event", sim::Scheduler::Event);
-
     std::vector<Row> rows;
     for (const ThroughputEntry &e : throughputSuite()) {
         if (!only.empty() && only != e.name)
             continue;
         for (unsigned tiles : tileCounts)
-            for (const auto &[sname, sched] : scheds)
-                rows.push_back(measure(e, tiles, reps, idle_skip,
-                                       sched, sname));
+            rows.push_back(measure(e, tiles, reps));
     }
     if (rows.empty())
         tapas_fatal("--only '%s' matches no workload", only.c_str());
 
     std::cout << std::left << std::setw(12) << "workload"
-              << std::setw(7) << "sched" << std::right << std::setw(6)
-              << "tiles" << std::setw(12) << "cycles" << std::setw(12)
+              << std::right << std::setw(6) << "tiles" << std::setw(12) << "cycles" << std::setw(12)
               << "skipped" << std::setw(12) << "events"
               << std::setw(11) << "host_ms" << std::setw(11)
               << "sim_khz" << std::setw(13) << "events/s" << "\n";
     for (const Row &r : rows) {
         std::cout << std::left << std::setw(12) << r.workload
-                  << std::setw(7) << r.scheduler << std::right
-                  << std::setw(6) << r.tiles
+                  << std::right << std::setw(6) << r.tiles
                   << std::setw(12) << r.cycles << std::setw(12)
                   << r.skipped << std::setw(12) << r.events
                   << std::setw(11) << std::fixed
@@ -246,7 +208,6 @@ main(int argc, char **argv)
     for (const Row &r : rows) {
         Json j = Json::object();
         j.set("workload", Json::str(r.workload));
-        j.set("scheduler", Json::str(r.scheduler));
         j.set("tiles", Json::num(r.tiles));
         j.set("cycles", Json::num(r.cycles));
         j.set("skipped_cycles", Json::num(r.skipped));

@@ -223,8 +223,6 @@ AccelSimEngine::simulate(const hls::AcceleratorDesign &design,
         accel.maxCycles = *opts.maxCycles;
     if (opts.watchdogCycles)
         accel.watchdogCycles = *opts.watchdogCycles;
-    accel.idleSkip = opts.idleSkip;
-    accel.scheduler = opts.scheduler;
 
     // Run lifecycle: a wall-clock deadline is a child token over the
     // caller's cancel source, so SIGINT and --deadline compose.

@@ -422,22 +422,6 @@ class AccelSimEngine : public Engine
         std::optional<uint64_t> watchdogCycles;
 
         /**
-         * Allow the simulator's idle-cycle fast-forward (cycle-exact;
-         * see AcceleratorSim::idleSkip). Disable to force the
-         * every-cycle reference loop, e.g. for A/B equivalence tests.
-         */
-        bool idleSkip = true;
-
-        /**
-         * Cycle-loop scheduling policy (sim::Scheduler): the default
-         * event-driven core (per-tile sleep + wakeup calendar) or the
-         * legacy full-scan reference loop. Byte-identical results
-         * either way (tests/sim_sched_test.cc pins this); the knob
-         * exists for A/B differential testing and perf comparison.
-         */
-        sim::Scheduler scheduler = sim::Scheduler::Event;
-
-        /**
          * Invoked after the simulation with the compiled design and
          * the finished simulator, for metrics the flat RunResult
          * cannot express (e.g. per-unit scalars keyed by sid).

@@ -6,7 +6,6 @@
 #include "sim/accel.hh"
 
 #include <algorithm>
-#include <ostream>
 #include <string>
 
 #include "support/logging.hh"
@@ -132,26 +131,22 @@ AcceleratorSim::run(const std::vector<RtValue> &top_args)
     rootFinished = false;
     failure_ = SimFailure{};
     rootValue = RtValue{};
-    idleSkipped = 0;
+    cyclesSkipped = 0;
     for (auto &u : units)
         u->resetFiring(); // stale stamps from a previous run()
 
-    // Idle-skip stays exact only while nothing consumes RNG per
-    // cycle; a fault injector with any nonzero rate does.
+    // The run's inputs alone pick the fast paths. Skipping stays
+    // exact only while nothing draws RNG per cycle, so any nonzero
+    // fault rate turns off both the whole-machine skip and tile
+    // sleep. Quiet tiles sleep through stall spans (settled in bulk
+    // on wake-up) unless a sink is attached: sinks consume per-cycle
+    // stall events that bulk accounting would drop.
     const bool skip_allowed =
-        idleSkip && !(faultInj && faultInj->config().any());
-
-    // Event scheduler: individual quiet tiles may sleep through
-    // their stall spans (settled in bulk on wake-up). Requires the
-    // same preconditions as the whole-machine skip, plus no trace
-    // sinks: sinks consume per-cycle cache-stall events that bulk
-    // accounting would drop. With tile sleep off, event mode
-    // degenerates to the scan loop — trivially byte-identical.
-    const bool tile_sleep = scheduler == Scheduler::Event &&
-                            skip_allowed && !hasSinks;
+        !(faultInj && faultInj->config().any());
+    const bool tile_sleep = skip_allowed && !hasSinks;
     calendar.reset(0);
     for (auto &u : units)
-        u->eventSleep = tile_sleep;
+        u->tileSleep = tile_sleep;
 
     // The host (ARM) writes the arguments and kicks the root unit.
     // With a fault injector the kick handshake itself may be dropped;
@@ -302,11 +297,10 @@ AcceleratorSim::run(const std::vector<RtValue> &top_args)
         // failures and observability streams byte-identical to the
         // unskipped simulation.
         if (skip_allowed && rootSpawned && last_progress_cycle != cyc) {
-            // Event mode: sleeping tiles are excluded from the unit
-            // rescan below; the calendar holds their wake bounds.
-            // (kNone == kNoWake, so an empty calendar is neutral.)
-            uint64_t wake = tile_sleep ? calendar.nextEventAt()
-                                       : InstanceExec::kNoWake;
+            // Sleeping tiles are excluded from the unit rescan below;
+            // the calendar holds their wake bounds (kNone == kNoWake,
+            // so an empty calendar is neutral).
+            uint64_t wake = calendar.nextEventAt();
             bool can_skip = true;
             for (auto &u : units) {
                 uint64_t w = u->nextWake(cyc, !hasSinks);
@@ -338,20 +332,18 @@ AcceleratorSim::run(const std::vector<RtValue> &top_args)
                     uint64_t skipped = wake - cyc - 1;
                     for (auto &u : units)
                         u->accountSkipped(skipped, cyc);
-                    idleSkipped += skipped;
+                    cyclesSkipped += skipped;
                     cyc = wake - 1; // for-loop ++ lands on `wake`
                 }
             }
         }
     }
 
-    if (tile_sleep) {
-        // Tiles still asleep when the run ended: account their spans
-        // through the last processed cycle (a sleeping tile can only
-        // exist after at least one tick, so last_ticked is live).
-        for (auto &u : units)
-            u->settleAllSleeping(last_ticked);
-    }
+    // Tiles still asleep when the run ended: account their spans
+    // through the last processed cycle (a sleeping tile can only
+    // exist after at least one tick, so last_ticked is live).
+    for (auto &u : units)
+        u->settleAllSleeping(last_ticked);
 
     _cycles = cyc;
     if (failure_.failed()) {
@@ -398,15 +390,6 @@ AcceleratorSim::totalSpawns() const
     for (const auto &u : units)
         n += u->spawnsAccepted.value();
     return n;
-}
-
-void
-AcceleratorSim::dumpStats(std::ostream &os) const
-{
-    stats.dump(os);
-    cache.stats.dump(os);
-    for (const auto &u : units)
-        u->stats.dump(os);
 }
 
 } // namespace tapas::sim

@@ -60,25 +60,6 @@ namespace tapas::sim {
 class AcceleratorSim;
 class TaskUnit;
 
-/**
- * Cycle-loop scheduling policy. Both produce byte-identical results
- * (cycle counts, stats, observability streams — pinned by
- * tests/sim_sched_test.cc); they differ only in host work per
- * simulated cycle.
- *
- *  - Scan: the original loop — every tile of every unit is visited
- *    every processed cycle, plus the whole-machine idle-skip jump.
- *  - Event: additionally puts *individual* tiles to sleep when their
- *    next possible state change is provably in the future, settling
- *    their stall/residency accounting in bulk on wake-up, and feeds
- *    the known wake cycles into a WakeupCalendar so the idle-skip
- *    jump is a calendar lookup instead of a full rescan.
- */
-enum class Scheduler : uint8_t {
-    Scan,  ///< legacy full scan each cycle
-    Event, ///< active tiles only + wakeup calendar (default)
-};
-
 /** Result of presenting a spawn to a unit's spawn port. */
 enum class SpawnOutcome : uint8_t {
     Accepted, ///< enqueued; the child will run
@@ -172,9 +153,6 @@ class InstanceExec
 
     /** Return value produced by the task's Ret (function tasks). */
     ir::RtValue returnValue() const { return retVal; }
-
-    /** Outstanding memory requests (suspension is deferred on >0). */
-    unsigned outstandingMem() const { return memInFlight; }
 
     /** Dynamic nodes fired so far (stats). */
     uint64_t firedCount() const { return firedNodes; }
@@ -483,28 +461,24 @@ class TaskUnit
         tileSleepBase.assign(tiles.size(), 0);
         tileSpawnWaits.assign(tiles.size(), {});
         spawnWaiters.clear();
-        sleepingTiles = 0;
         tileSlept = 0;
         tickCycle = ~0ull;
         tickTilePos = 0;
     }
 
-    /** Tiles currently asleep under the event scheduler (tests). */
-    unsigned sleepingTileCount() const { return sleepingTiles; }
-
     /**
      * Tile-cycles covered by sleep spans instead of per-cycle ticks.
      * Diagnostic only — deliberately NOT a stats Counter, so modeled
-     * results stay byte-identical across schedulers.
+     * results do not depend on whether a tile slept.
      */
     uint64_t tileSleptCycles() const { return tileSlept; }
 
     /**
      * End-of-run settle: close out every still-sleeping tile through
      * `upto` (the last processed cycle). The run may end — root
-     * retire, failure, interrupt — while a tile is mid-span; scan
-     * mode would have ticked it quietly through that cycle, so its
-     * bulk accounting must land before stats are read.
+     * retire, failure, interrupt — while a tile is mid-span;
+     * per-cycle ticking would have stepped it quietly through that
+     * cycle, so its bulk accounting must land before stats are read.
      */
     void
     settleAllSleeping(uint64_t upto)
@@ -595,10 +569,10 @@ class TaskUnit
 
     /**
      * Close out a sleeping tile's skipped span: bulk-account the
-     * quiet cycles (sleepBase, upto] exactly as scan mode would have
-     * accrued them one by one — tile-busy counters plus the data
-     * box's stall/retry witnesses — then mark the tile awake. The
-     * tile's next real tick restamps every witness.
+     * quiet cycles (sleepBase, upto] exactly as per-cycle ticking
+     * would have accrued them one by one — tile-busy counters plus
+     * the data box's stall/retry witnesses — then mark the tile
+     * awake. The tile's next real tick restamps every witness.
      */
     void settleTile(unsigned t, uint64_t upto);
 
@@ -606,10 +580,10 @@ class TaskUnit
      * External poke (dispatch, child join, call return) landing on a
      * possibly-sleeping tile at cycle `now`. No-op when awake.
      * Settles through `now` when the tile's position in this cycle's
-     * tile loop has already passed (scan mode would have ticked it
-     * quietly before the poke arrived, and it reacts next cycle),
-     * through `now - 1` otherwise (it still gets its step this
-     * cycle, in scan order).
+     * tile loop has already passed (per-cycle ticking would have
+     * stepped it quietly before the poke arrived, and it reacts next
+     * cycle), through `now - 1` otherwise (it still gets its step
+     * this cycle, in tile order).
      */
     void wakeTileForPoke(unsigned t, uint64_t now);
 
@@ -633,7 +607,7 @@ class TaskUnit
     /**
      * An entry of THIS unit's queue just freed (retire): wake every
      * registered spawn-waiter tile so its next re-present runs live
-     * and can take the slot in scan order.
+     * and can take the slot in tile order.
      */
     void pokeSpawnWaiters(uint64_t now);
 
@@ -663,21 +637,18 @@ class TaskUnit
         unregisters them mid-iteration, so it drains a copy. */
     std::vector<std::pair<TaskUnit *, unsigned>> pokeScratch;
 
-    /** Count of nonzero tileSleepUntil entries. */
-    unsigned sleepingTiles = 0;
-
     /** Lifetime tile-cycles settled from sleep spans (diagnostic). */
     uint64_t tileSlept = 0;
 
     /** May tick() put quiet tiles to sleep? (set by run()) */
-    bool eventSleep = false;
+    bool tileSleep = false;
 
     /**
      * Where this cycle's tile loop currently stands: tick() stamps
      * tickCycle on entry and tickTilePos before processing each tile
      * (tiles.size() once the loop is done). wakeTileForPoke() uses
      * the pair to decide whether a same-cycle poke arrived before or
-     * after the target tile's position in scan order.
+     * after the target tile's position in tile order.
      */
     uint64_t tickCycle = ~0ull;
     size_t tickTilePos = 0;
@@ -821,8 +792,8 @@ class AcceleratorSim
      * progressEvent() its firing charged up front (exec.cc). A
      * retry-every-cycle stall thus counts zero progress — the event
      * stream measures activity, not attempts — which is what lets
-     * the event scheduler sleep a tile that is only being rejected,
-     * and keeps the watchdog an honest no-forward-progress detector.
+     * run() sleep a tile that is only being rejected, and keeps the
+     * watchdog an honest no-forward-progress detector.
      */
     void retractProgressEvent() { --progressEvents; }
 
@@ -975,9 +946,6 @@ class AcceleratorSim
 
     SharedCache &cacheModel() { return cache; }
 
-    /** Dump all stat groups (units + cache + global). */
-    void dumpStats(std::ostream &os) const;
-
     StatGroup stats{"accel"};
     Counter rootRuns{stats, "runs", "root task invocations"};
     Histogram taskLifetime{stats, "task_lifetime",
@@ -990,28 +958,6 @@ class AcceleratorSim
 
     /** Cycles without progress before declaring deadlock. */
     uint64_t watchdogCycles = 1'000'000;
-
-    /**
-     * Idle-cycle fast-forward: when a cycle makes no progress and
-     * every unit is quiescent (only in-flight memory responses,
-     * fixed-latency ops, or delayed spawn retries pending), jump
-     * straight to the earliest wake-up cycle instead of spinning.
-     * Cycle-exact by construction — modeled cycle counts, stats, and
-     * observability streams are identical either way (pinned by
-     * tests/sim_perf_test.cc). Auto-disabled while a fault injector
-     * with any nonzero rate is attached: those draw from the RNG
-     * every cycle, so skipping would change the fault schedule.
-     */
-    bool idleSkip = true;
-
-    /**
-     * Cycle-loop scheduling policy (see Scheduler). Event mode is
-     * byte-identical to Scan on every workload — including fault
-     * injection, tracing, and checkpoint/resume — and is the
-     * default; Scan remains selectable as the reference
-     * implementation and differential-test oracle.
-     */
-    Scheduler scheduler = Scheduler::Event;
 
     /** The design's decoded micro-op tables, shared by all tiles. */
     const ir::LoweredProgram &
@@ -1064,12 +1010,13 @@ class AcceleratorSim
     std::function<void(uint64_t)> onCheckpoint;
 
     /** Cycles the last run() fast-forwarded over (diagnostics). */
-    uint64_t skippedCycles() const { return idleSkipped; }
+    uint64_t skippedCycles() const { return cyclesSkipped; }
 
     /**
-     * Tile-cycles the event scheduler covered with per-tile sleep
-     * spans in the last run() (summed over units; 0 in scan mode).
-     * Diagnostic only — never folded into stats or RunResult.
+     * Tile-cycles the last run() covered with per-tile sleep spans
+     * (summed over units; 0 when a sink or fault rate kept every
+     * tile awake). Diagnostic only — never folded into stats or
+     * RunResult.
      */
     uint64_t tileSleptCycles() const
     {
@@ -1099,9 +1046,9 @@ class AcceleratorSim
     std::vector<std::vector<ir::RtValue>> lowPools;
 
     uint64_t _cycles = 0;
-    uint64_t idleSkipped = 0;
+    uint64_t cyclesSkipped = 0;
 
-    /** Future tile wakes (event scheduler); reset each run(). */
+    /** Future tile wakes of sleeping tiles; reset each run(). */
     WakeupCalendar calendar;
     uint64_t progressEvents = 0;
     std::vector<obs::TraceSink *> sinks;

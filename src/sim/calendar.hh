@@ -1,9 +1,9 @@
 /**
  * @file
- * Wakeup calendar for the event-driven scheduler: a bucketed timing
+ * Wakeup calendar for the simulator's tile sleep: a bucketed timing
  * wheel over future simulated cycles.
  *
- * The event scheduler puts a tile to sleep when its next possible
+ * AcceleratorSim::run() puts a tile to sleep when its next possible
  * state change is provably in the future (an in-flight memory
  * response, a fixed-latency op, an MSHR-retire bound) and records
  * that cycle here. The top-level cycle loop then uses the calendar's

@@ -56,13 +56,6 @@ class DataBox
     unsigned occupancy() const { return occupied; }
 
     /**
-     * No requests waiting to issue into the cache: tick() would not
-     * touch arbiter or cache state. An unissued request retries the
-     * cache (and churns its reject stats) every cycle.
-     */
-    bool quiescent() const { return issueQueue.empty(); }
-
-    /**
      * Idle-skip constraint from this box, evaluated at the end of a
      * quiet cycle `now`:
      *

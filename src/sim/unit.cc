@@ -235,7 +235,7 @@ TaskUnit::dispatch(uint64_t now)
 
     // A dispatch is an external poke: a sleeping chosen tile settles
     // its skipped span and takes the instance this very cycle (the
-    // tile loop runs after dispatch, so scan order is preserved).
+    // tile loop runs after dispatch, so tile order is preserved).
     wakeTileForPoke(static_cast<unsigned>(best), now);
 
     readyQueue.pop_front();
@@ -403,19 +403,18 @@ TaskUnit::tick(uint64_t now)
         }
         tile.box.tick(now);
 
-        // Event scheduler: a tile that just went through a provably
+        // Tile sleep: a tile that just went through a provably
         // quiet cycle (no firing, no progress event from its
         // instances) may sleep until its earliest internal timer.
         // The fired/progress gate is only a cheap pre-filter;
         // correctness rests on tileWake()'s veto logic.
-        if (eventSleep && tile.firedThisCycle == 0 &&
+        if (tileSleep && tile.firedThisCycle == 0 &&
             now >= tile.stuckUntil &&
             sim.progressCount() == progressBefore) {
             uint64_t w = tileWake(tile, now);
             if (w > now + 1) {
                 tileSleepUntil[ti] = w;
                 tileSleepBase[ti] = now;
-                ++sleepingTiles;
                 if (w != InstanceExec::kNoWake)
                     sim.scheduleWake(w);
                 if (!waitScratch.empty())
@@ -508,8 +507,8 @@ TaskUnit::pokeSpawnWaiters(uint64_t now)
 {
     // Settling a waiter unregisters it from every target it waits
     // on (mutating this list), so drain a copy. wakeTileForPoke's
-    // scan-position test decides whether the waiter's re-present
-    // still runs this cycle or next, exactly as scan order would.
+    // tile-position test decides whether the waiter's re-present
+    // still runs this cycle or next, exactly as tile order would.
     pokeScratch = spawnWaiters;
     for (const auto &[u, t] : pokeScratch)
         u->wakeTileForPoke(t, now);
@@ -523,7 +522,7 @@ TaskUnit::settleTile(unsigned t, uint64_t upto)
     tapas_assert(upto >= base, "settling a tile backwards");
     const uint64_t n = upto - base;
     if (n > 0) {
-        // Exactly what n scan-mode quiet cycles would have accrued:
+        // Exactly what n ticked quiet cycles would have accrued:
         // the busy-cycle count (membership is frozen while asleep —
         // detach needs a step, dispatch pokes) and the data box's
         // per-cycle retry/reject witnesses. Residency attribution
@@ -536,7 +535,7 @@ TaskUnit::settleTile(unsigned t, uint64_t upto)
     // Spawn-waiter teardown: each slept cycle re-presented every
     // retrying node against its (provably still-full) target queue,
     // so the target tallies one queue-full reject per node per
-    // cycle — exactly what scan mode would have counted live. The
+    // cycle — exactly what live ticking would have counted. The
     // targets' own reject witnesses only cover live attempts, so
     // this credit never overlaps accountSkipped()'s replay.
     auto &waits = tileSpawnWaits[t];
@@ -555,7 +554,6 @@ TaskUnit::settleTile(unsigned t, uint64_t upto)
     }
     waits.clear();
     tileSleepUntil[t] = 0;
-    --sleepingTiles;
 }
 
 void
@@ -563,10 +561,11 @@ TaskUnit::wakeTileForPoke(unsigned t, uint64_t now)
 {
     if (tileSleepUntil[t] == 0)
         return;
-    // Did this cycle's tile loop already pass tile t? Then scan mode
-    // would have ticked it quietly at `now` before the poke arrived
-    // (count `now` into the settled span; it reacts at now+1).
-    // Otherwise it still gets its step this cycle, in scan order.
+    // Did this cycle's tile loop already pass tile t? Then live
+    // ticking would have stepped it quietly at `now` before the poke
+    // arrived (count `now` into the settled span; it reacts at
+    // now+1). Otherwise it still gets its step this cycle, in tile
+    // order.
     const bool passed = tickCycle == now && tickTilePos > t;
     settleTile(t, passed ? now : now - 1);
 }

@@ -1,14 +1,28 @@
 /**
  * @file
- * Pinned results of the lowered TXU engine. The simulator executes
- * only from the ahead-of-time micro-op tables (ir/lower.hh), so these
- * tests hold it to constants instead of to a second engine: modeled
- * cycles, progress events, spawns and the return value of every
- * workload at 1 and 4 tiles, with and without a fixed-seed fault
- * injector, under both cycle-loop schedulers; plus the --explain
- * report, the traced event stream and an interrupted prefix. Every
- * pin was captured while the lowered engine and the instruction
- * walker it replaced still agreed on it.
+ * Pinned results of the cycle loop, plus the one live differential
+ * it keeps. The simulator has a single execution path whose fast
+ * paths (per-tile sleep, the whole-machine idle skip) are chosen by
+ * the run's inputs alone, so these tests hold it to constants and to
+ * one guarantee instead of to a second engine:
+ *
+ *  - LowerEquiv pins every workload at 1 and 4 tiles, with and
+ *    without a fixed-seed fault injector: modeled cycles, progress
+ *    events, spawns, the return value, and FNV-1a digests of the
+ *    full stats map and the rendered profile; plus the --explain
+ *    report, the traced event stream and an interrupted prefix.
+ *  - SchedEquiv is the live differential: a plain run must equal the
+ *    same run with a TaskTracer attached. Any sink keeps every tile
+ *    awake, so the observed run takes the per-tile-tick path, and
+ *    observing a run must never change its modeled result.
+ *  - IdleSkip checks that tile sleep and the skip engage, and stay
+ *    off under nonzero fault rates or sinks, as run() promises.
+ *
+ * Every pin was captured while the lowered engine, the instruction
+ * walker it replaced, the full-scan loop and the skip-off loop all
+ * agreed on it. The digests see what cycles alone cannot: a wrong
+ * spawn_rejects, mshr_rejects or busy-cycle credit from a span a
+ * sleeping tile settled in bulk moves the stats digest.
  *
  * The pins are tight on purpose. Frame::doneCount alone decides
  * block completion, so a missed or doubled update moves cycles; a
@@ -20,6 +34,7 @@
  */
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -53,6 +68,23 @@ suite()
     return s;
 }
 
+/**
+ * A tiny cache over slow, narrow DRAM with two MSHRs starves the
+ * data boxes: long MSHR-full head-reject spans and full-target-queue
+ * spawn-retry spans, exactly where tile sleep and the skip settle
+ * stall accounting in bulk. Pinned as "saxpy_dram".
+ */
+workloads::Workload
+dramStarvedSaxpy()
+{
+    auto w = workloads::makeSaxpy(2048);
+    w.params.mem.cacheBytes = 4 * 1024;
+    w.params.mem.dramLatency = 400;
+    w.params.mem.dramWordsPerCycle = 1;
+    w.params.mem.mshrs = 2;
+    return w;
+}
+
 /** Expected modeled outcome of one (workload, tiles, faults) run. */
 struct Pin
 {
@@ -63,38 +95,72 @@ struct Pin
     uint64_t events; ///< AcceleratorSim::progressCount() at the end
     uint64_t spawns;
     int64_t retval;
+    uint64_t stats;   ///< statsDigest(RunResult::stats)
+    uint64_t profile; ///< textDigest(RunResult::profileReport)
 };
 
-/** Identical under the scan and the event scheduler. */
+/** Runs with RunOptions::profile set (broadest stats surface). */
 constexpr Pin kPins[] = {
-    {"matrix_add", 1, false, 5535, 18462, 73, 0},
-    {"matrix_add", 1, true, 5528, 18464, 73, 0},
-    {"matrix_add", 4, false, 2682, 18469, 73, 0},
-    {"matrix_add", 4, true, 2755, 18469, 73, 0},
-    {"stencil", 1, false, 19105, 149085, 257, 0},
-    {"stencil", 1, true, 18992, 149145, 257, 0},
-    {"stencil", 4, false, 5687, 149027, 257, 0},
-    {"stencil", 4, true, 5729, 149030, 257, 0},
-    {"saxpy", 1, false, 7052, 25623, 33, 0},
-    {"saxpy", 1, true, 8055, 25624, 33, 0},
-    {"saxpy", 4, false, 3258, 25623, 33, 0},
-    {"saxpy", 4, true, 3768, 25623, 33, 0},
-    {"image_scale", 1, false, 36270, 102897, 161, 0},
-    {"image_scale", 1, true, 37712, 102914, 161, 0},
-    {"image_scale", 4, false, 9581, 102907, 161, 0},
-    {"image_scale", 4, true, 10183, 102910, 161, 0},
-    {"dedup", 1, false, 2414, 112840, 44, 0},
-    {"dedup", 1, true, 2454, 112840, 44, 0},
-    {"dedup", 4, false, 2311, 112848, 44, 0},
-    {"dedup", 4, true, 2400, 112847, 44, 0},
-    {"fib", 1, false, 2246, 15011, 929, 144},
-    {"fib", 1, true, 2270, 15004, 929, 144},
-    {"fib", 4, false, 1502, 15007, 929, 144},
-    {"fib", 4, true, 1500, 15033, 929, 144},
-    {"mergesort", 1, false, 79992, 384391, 61, 0},
-    {"mergesort", 1, true, 95209, 384393, 61, 0},
-    {"mergesort", 4, false, 56172, 384389, 61, 0},
-    {"mergesort", 4, true, 62695, 384387, 61, 0},
+    {"matrix_add", 1, false, 5535, 18462, 73, 0,
+     0x4c024eb4d65e5964ull, 0x8b6c85c8803b5f50ull},
+    {"matrix_add", 1, true, 5528, 18464, 73, 0,
+     0xab2ed341cc51b0ddull, 0x0fb04ab31a1933bfull},
+    {"matrix_add", 4, false, 2682, 18469, 73, 0,
+     0x1d6a1bba3ff60eeeull, 0x9a35df394a721818ull},
+    {"matrix_add", 4, true, 2755, 18469, 73, 0,
+     0xca7ba8b2ff5e6a69ull, 0x321a8b6619edfcacull},
+    {"stencil", 1, false, 19105, 149085, 257, 0,
+     0xff8cb3912bb76935ull, 0x8bdc1752e98bdb2dull},
+    {"stencil", 1, true, 18992, 149145, 257, 0,
+     0x1f8178c25b62c7bcull, 0xabcb604f086beb8dull},
+    {"stencil", 4, false, 5687, 149027, 257, 0,
+     0xb3d9ae9d11c05859ull, 0xcc981e645de9e326ull},
+    {"stencil", 4, true, 5729, 149030, 257, 0,
+     0x1c6010b09efcead1ull, 0xe9c0518892f49badull},
+    {"saxpy", 1, false, 7052, 25623, 33, 0,
+     0x8af6d0fdb4c2383aull, 0x71cb6ee5f07e6749ull},
+    {"saxpy", 1, true, 8055, 25624, 33, 0,
+     0x83a700657dde4865ull, 0x8e5ec67b102b2f41ull},
+    {"saxpy", 4, false, 3258, 25623, 33, 0,
+     0x6cbb54cf6df4a860ull, 0xc0e0385a07a7452aull},
+    {"saxpy", 4, true, 3768, 25623, 33, 0,
+     0x14aa816f802cfaa0ull, 0xd5d195bae6e8d886ull},
+    {"image_scale", 1, false, 36270, 102897, 161, 0,
+     0x94750399c3c210abull, 0x91f0415105e4e095ull},
+    {"image_scale", 1, true, 37712, 102914, 161, 0,
+     0xc1d158478fbc9f0bull, 0xc41172cd6486998aull},
+    {"image_scale", 4, false, 9581, 102907, 161, 0,
+     0x2cc5de972f4ef9ebull, 0xee1de8633f6b504bull},
+    {"image_scale", 4, true, 10183, 102910, 161, 0,
+     0x7294932a3c3da203ull, 0x35af53f2214c8c85ull},
+    {"dedup", 1, false, 2414, 112840, 44, 0,
+     0xd35443818ee6ae37ull, 0x607906e224eba83eull},
+    {"dedup", 1, true, 2454, 112840, 44, 0,
+     0x223ec8642cf3476full, 0xf79a2b95de741221ull},
+    {"dedup", 4, false, 2311, 112848, 44, 0,
+     0x02c71df1efedf72aull, 0x99e5f0f1a1fd7d9cull},
+    {"dedup", 4, true, 2400, 112847, 44, 0,
+     0x60e19988b51082baull, 0xcb80e92e5702257cull},
+    {"fib", 1, false, 2246, 15011, 929, 144,
+     0x49cec71717ea3281ull, 0x0bbb45a967e298bfull},
+    {"fib", 1, true, 2270, 15004, 929, 144,
+     0x4916e806ba3d3c91ull, 0x6d2c7986df449b05ull},
+    {"fib", 4, false, 1502, 15007, 929, 144,
+     0x59144bc0c16c2b88ull, 0x3b4bb879fb18e8f9ull},
+    {"fib", 4, true, 1500, 15033, 929, 144,
+     0x324b2374cf8b041full, 0xa12efe6a36eef6d9ull},
+    {"mergesort", 1, false, 79992, 384391, 61, 0,
+     0x2d1546ee4bd21d53ull, 0xdd5048629e63ef7eull},
+    {"mergesort", 1, true, 95209, 384393, 61, 0,
+     0xd33ecd25eb8b7703ull, 0x8121a7401e8d97fcull},
+    {"mergesort", 4, false, 56172, 384389, 61, 0,
+     0xea018d1cdf0160b8ull, 0x104ebf76a2e79636ull},
+    {"mergesort", 4, true, 62695, 384387, 61, 0,
+     0xce33c8d4ad934d36ull, 0x030050dc574b4511ull},
+    {"saxpy_dram", 1, false, 105337, 51239, 65, 0,
+     0x6b2ee88f7d2e00ddull, 0x74e9e34f2710ede7ull},
+    {"saxpy_dram", 4, false, 105299, 51239, 65, 0,
+     0x9647ea920cbfbb20ull, 0x0df60551b303f28dull},
 };
 
 const Pin &
@@ -123,11 +189,13 @@ fixedFaults()
     return fc;
 }
 
-/** A run's result plus the simulator's final progress count. */
+/** A run's result plus the simulator's end-of-run counters. */
 struct Observed
 {
     driver::RunResult r;
     uint64_t events = 0;
+    uint64_t slept = 0;   ///< AcceleratorSim::tileSleptCycles()
+    uint64_t skipped = 0; ///< AcceleratorSim::skippedCycles()
 };
 
 Observed
@@ -138,21 +206,22 @@ runObserved(workloads::Workload &w, driver::AccelSimEngine::Options eo,
     eo.observer = [&o](const hls::AcceleratorDesign &,
                        sim::AcceleratorSim &sim) {
         o.events = sim.progressCount();
+        o.slept = sim.tileSleptCycles();
+        o.skipped = sim.skippedCycles();
     };
     driver::AccelSimEngine eng(std::move(eo));
     o.r = eng.runWorkload(w, kMemBytes, ro);
     return o;
 }
 
-void
-expectPinned(const Observed &o, const Pin &p)
+/** runObserved() with a TaskTracer sink attached. */
+Observed
+runTraced(workloads::Workload &w, driver::AccelSimEngine::Options eo,
+          driver::RunOptions ro = {})
 {
-    EXPECT_TRUE(o.r.ok()) << o.r.failure->detail;
-    EXPECT_TRUE(o.r.verifyError.empty()) << o.r.verifyError;
-    EXPECT_EQ(o.r.cycles, p.cycles);
-    EXPECT_EQ(o.events, p.events);
-    EXPECT_EQ(o.r.spawns, p.spawns);
-    EXPECT_EQ(o.r.retval.i, p.retval);
+    sim::TaskTracer tracer;
+    eo.tracer = &tracer;
+    return runObserved(w, std::move(eo), std::move(ro));
 }
 
 /** FNV-1a over raw bytes, chained through `h`. */
@@ -169,62 +238,95 @@ fnv1a(uint64_t h, const void *data, size_t n)
 
 constexpr uint64_t kFnvBasis = 14695981039346656037ull;
 
+uint64_t
+textDigest(const std::string &s)
+{
+    return fnv1a(kFnvBasis, s.data(), s.size());
+}
+
+/** Every (name, value bit pattern) pair, in map order. */
+uint64_t
+statsDigest(const std::map<std::string, double> &stats)
+{
+    uint64_t h = kFnvBasis;
+    for (const auto &[k, v] : stats) {
+        h = fnv1a(h, k.c_str(), k.size() + 1);
+        h = fnv1a(h, &v, sizeof v);
+    }
+    return h;
+}
+
+void
+expectPinned(const Observed &o, const Pin &p)
+{
+    EXPECT_TRUE(o.r.ok()) << o.r.failure->detail;
+    EXPECT_TRUE(o.r.verifyError.empty()) << o.r.verifyError;
+    EXPECT_EQ(o.r.cycles, p.cycles);
+    EXPECT_EQ(o.events, p.events);
+    EXPECT_EQ(o.r.spawns, p.spawns);
+    EXPECT_EQ(o.r.retval.i, p.retval);
+    EXPECT_EQ(statsDigest(o.r.stats), p.stats) << "stats map changed";
+    EXPECT_EQ(textDigest(o.r.profileReport), p.profile)
+        << o.r.profileReport;
+}
+
+} // namespace
+
 /**
- * The headline pins: every workload, single- and multi-tile, both
- * cycle-loop schedulers, with and without a fixed-seed fault
- * injector. The fault legs matter most: injected perturbations
- * (spawn drops, queue corruption, delayed memory) route the engine
- * through its rarely-taken retry paths.
+ * The headline pins: every workload, single- and multi-tile, with
+ * and without a fixed-seed fault injector. The fault legs matter
+ * most: injected perturbations (spawn drops, queue corruption,
+ * delayed memory) route the engine through its rarely-taken retry
+ * paths, and nonzero rates keep every tile awake.
  */
 TEST(LowerEquiv, EveryWorkloadTilesSchedFaultsByteIdentical)
 {
     for (unsigned tiles : {1u, 4u}) {
-        for (auto sched :
-             {sim::Scheduler::Scan, sim::Scheduler::Event}) {
-            for (bool faults : {false, true}) {
-                auto runs = suite();
-                for (workloads::Workload &w : runs) {
-                    SCOPED_TRACE(
-                        w.name + " tiles=" + std::to_string(tiles) +
-                        " sched=" +
-                        (sched == sim::Scheduler::Scan ? "scan"
-                                                       : "event") +
-                        " faults=" + (faults ? "on" : "off"));
-                    driver::AccelSimEngine::Options eo;
-                    eo.tiles = tiles;
-                    eo.scheduler = sched;
-                    if (faults)
-                        eo.fault = fixedFaults();
-                    driver::RunOptions ro;
-                    ro.profile = true;
-                    expectPinned(runObserved(w, eo, ro),
-                                 pinFor(w.name, tiles, faults));
-                }
+        for (bool faults : {false, true}) {
+            auto runs = suite();
+            for (workloads::Workload &w : runs) {
+                SCOPED_TRACE(w.name + " tiles=" +
+                             std::to_string(tiles) + " faults=" +
+                             (faults ? "on" : "off"));
+                driver::AccelSimEngine::Options eo;
+                eo.tiles = tiles;
+                if (faults)
+                    eo.fault = fixedFaults();
+                driver::RunOptions ro;
+                ro.profile = true;
+                expectPinned(runObserved(w, eo, ro),
+                             pinFor(w.name, tiles, faults));
             }
         }
     }
 }
 
 /**
- * --explain attaches a CriticalPathSink, which moves the simulator
- * off its sleep and bulk-accounting fast paths. The run must still
- * match its pin, and the bottleneck report its pinned bytes.
+ * --explain attaches a CriticalPathSink, which keeps every tile
+ * awake. The run must still match its pin (the critpath.* stats
+ * aside), and the bottleneck report its pinned bytes.
  */
 TEST(LowerEquiv, ExplainReportIdentical)
 {
-    auto w = workloads::makeMergeSort(512, 32);
-    driver::AccelSimEngine::Options eo;
-    eo.tiles = 4;
-    driver::RunOptions ro;
-    ro.explain = true;
-    ro.profile = true;
-    Observed o = runObserved(w, eo, ro);
-    expectPinned(o, pinFor("mergesort", 4, false));
-    const std::string &report = o.r.bottleneckReport;
-    EXPECT_EQ(report.size(), 1070u);
-    EXPECT_EQ(fnv1a(kFnvBasis, report.data(), report.size()),
-              0xad5a7b77f79d7bf1ull)
-        << report;
+    const std::pair<unsigned, uint64_t> reports[] = {
+        {1, 0xc6c0b24812932eebull}, {4, 0xad5a7b77f79d7bf1ull}};
+    for (const auto &[tiles, digest] : reports) {
+        SCOPED_TRACE(tiles);
+        auto w = workloads::makeMergeSort(512, 32);
+        driver::AccelSimEngine::Options eo;
+        eo.tiles = tiles;
+        driver::RunOptions ro;
+        ro.explain = true;
+        ro.profile = true;
+        Observed o = runObserved(w, eo, ro);
+        std::erase_if(o.r.stats, [](const auto &kv) {
+            return kv.first.rfind("critpath.", 0) == 0;
+        });
+        expectPinned(o, pinFor("mergesort", tiles, false));
+        EXPECT_EQ(o.r.bottleneckReport.size(), 1070u);
+        EXPECT_EQ(textDigest(o.r.bottleneckReport), digest)
+            << o.r.bottleneckReport;
+    }
 }
 
 /**
@@ -233,28 +335,37 @@ TEST(LowerEquiv, ExplainReportIdentical)
  */
 TEST(LowerEquiv, TracedStreamExact)
 {
-    auto w = workloads::makeMergeSort(512, 32);
-    sim::TaskTracer tracer;
-    driver::AccelSimEngine::Options eo;
-    eo.tiles = 4;
-    eo.tracer = &tracer;
-    expectPinned(runObserved(w, eo), pinFor("mergesort", 4, false));
+    const std::pair<unsigned, uint64_t> streams[] = {
+        {1, 0x681cf31253f54ab1ull}, {4, 0x43bee69cdb804a6eull}};
+    for (const auto &[tiles, digest] : streams) {
+        SCOPED_TRACE(tiles);
+        auto w = workloads::makeMergeSort(512, 32);
+        sim::TaskTracer tracer;
+        driver::AccelSimEngine::Options eo;
+        eo.tiles = tiles;
+        eo.tracer = &tracer;
+        driver::RunOptions ro;
+        ro.profile = true;
+        expectPinned(runObserved(w, eo, ro),
+                     pinFor("mergesort", tiles, false));
 
-    uint64_t h = kFnvBasis;
-    for (const sim::TraceEvent &e : tracer.all()) {
-        uint64_t cycle = e.cycle;
-        unsigned fields[3] = {static_cast<unsigned>(e.kind), e.sid,
-                              e.slot};
-        h = fnv1a(h, &cycle, sizeof cycle);
-        h = fnv1a(h, fields, sizeof fields);
+        uint64_t h = kFnvBasis;
+        for (const sim::TraceEvent &e : tracer.all()) {
+            uint64_t cycle = e.cycle;
+            unsigned fields[3] = {static_cast<unsigned>(e.kind), e.sid,
+                                  e.slot};
+            h = fnv1a(h, &cycle, sizeof cycle);
+            h = fnv1a(h, fields, sizeof fields);
+        }
+        EXPECT_EQ(tracer.all().size(), 273u);
+        EXPECT_EQ(h, digest);
     }
-    EXPECT_EQ(tracer.all().size(), 273u);
-    EXPECT_EQ(h, 0x43bee69cdb804a6eull);
 }
 
 /**
  * Checkpoint/resume: interrupting at a deterministic cycle deadline
- * stops at that boundary with the pinned progress so far, and an
+ * stops at that boundary with the pinned progress and stats so far
+ * (tiles asleep at the deadline are settled first), and an
  * uninterrupted replay reproduces the full run byte-for-byte.
  */
 TEST(LowerEquiv, InterruptThenReplayByteIdentical)
@@ -276,6 +387,9 @@ TEST(LowerEquiv, InterruptThenReplayByteIdentical)
     EXPECT_TRUE(stopped.r.interrupted);
     EXPECT_EQ(stopped.r.interruptCycle, 1629u);
     EXPECT_EQ(stopped.events, 12960u);
+    EXPECT_EQ(statsDigest(stopped.r.stats), 0x13aa9b535780f759ull);
+    EXPECT_EQ(textDigest(stopped.r.profileReport),
+              0x96ecf295e5a7566dull);
 
     Observed resumed = runOnce({});
     EXPECT_TRUE(resumed.r.equals(ref.r))
@@ -303,4 +417,192 @@ TEST(LowerEquiv, SharedDesignRunsByteIdentical)
     EXPECT_TRUE(a.equals(b));
 }
 
-} // namespace
+/**
+ * The live differential: every workload, single- and multi-tile,
+ * with and without faults, must come out field-for-field equal with
+ * and without a trace sink. The sink keeps every tile awake, so the
+ * sleeping tiles' bulk settles are checked against per-cycle ticks.
+ */
+TEST(SchedEquiv, EveryWorkloadTilesFaultsByteIdentical)
+{
+    for (unsigned tiles : {1u, 4u}) {
+        for (bool faults : {false, true}) {
+            auto plain_suite = suite();
+            auto traced_suite = suite();
+            for (size_t i = 0; i < plain_suite.size(); ++i) {
+                SCOPED_TRACE(plain_suite[i].name + " tiles=" +
+                             std::to_string(tiles) + " faults=" +
+                             (faults ? "on" : "off"));
+                driver::AccelSimEngine::Options eo;
+                eo.tiles = tiles;
+                if (faults)
+                    eo.fault = fixedFaults();
+                driver::RunOptions ro;
+                ro.profile = true;
+                Observed plain = runObserved(plain_suite[i], eo, ro);
+                Observed traced = runTraced(traced_suite[i], eo, ro);
+                EXPECT_TRUE(plain.r.ok()) << plain.r.failure->detail;
+                EXPECT_TRUE(plain.r.equals(traced.r))
+                    << "observing the run changed it: cycles "
+                    << plain.r.cycles << " vs " << traced.r.cycles;
+                EXPECT_EQ(plain.events, traced.events);
+                EXPECT_EQ(traced.slept, 0u);
+            }
+        }
+    }
+}
+
+/**
+ * The differential on the DRAM-starved saxpy, where most tile-cycles
+ * are slept: it must still match the traced run, and sleep must
+ * actually engage — a loop that never slept would pass the
+ * differential vacuously.
+ */
+TEST(SchedEquiv, DramBoundSleepEngagesAndMatches)
+{
+    for (unsigned tiles : {1u, 4u}) {
+        SCOPED_TRACE(tiles);
+        auto w1 = dramStarvedSaxpy();
+        auto w2 = dramStarvedSaxpy();
+        driver::AccelSimEngine::Options eo;
+        eo.tiles = tiles;
+        driver::RunOptions ro;
+        ro.profile = true;
+        Observed plain = runObserved(w1, eo, ro);
+        Observed traced = runTraced(w2, eo, ro);
+        EXPECT_TRUE(plain.r.ok());
+        EXPECT_TRUE(plain.r.equals(traced.r))
+            << "observing the run changed it: cycles "
+            << plain.r.cycles << " vs " << traced.r.cycles;
+        EXPECT_GT(plain.slept, 0u) << "tile sleep never engaged";
+        EXPECT_EQ(traced.slept, 0u);
+    }
+}
+
+/**
+ * Zero-rate injector: consumes no RNG, so tile sleep and the skip
+ * stay on, and the run (no fault.* stats) matches the plain pin.
+ */
+TEST(SchedEquiv, ZeroRateInjectorByteIdentical)
+{
+    auto w = workloads::makeFib(12);
+    driver::AccelSimEngine::Options eo;
+    eo.fault = sim::FaultConfig{};
+    driver::RunOptions ro;
+    ro.profile = true;
+    Observed o = runObserved(w, eo, ro);
+    expectPinned(o, pinFor("fib", 1, false));
+    EXPECT_GT(o.slept, 0u);
+    EXPECT_GT(o.skipped, 0u);
+}
+
+/**
+ * An interrupt can land while tiles sleep: the end-of-run settle
+ * must close every open span before stats are read, so the stopped
+ * prefix equals the traced (never sleeping) run stopped at the same
+ * boundary, and matches its pin; the replay equals the full run.
+ */
+TEST(SchedEquiv, InterruptThenReplayByteIdentical)
+{
+    auto runOnce = [](bool traced, driver::RunOptions ro) {
+        auto w = workloads::makeSaxpy(1024);
+        ro.profile = true;
+        return traced ? runTraced(w, {}, std::move(ro))
+                      : runObserved(w, {}, std::move(ro));
+    };
+
+    Observed ref = runOnce(false, {});
+    expectPinned(ref, pinFor("saxpy", 1, false));
+
+    driver::RunOptions mid;
+    mid.deadlineCycles = ref.r.cycles / 2;
+    Observed stopped = runOnce(false, mid);
+    EXPECT_TRUE(stopped.r.interrupted);
+    EXPECT_EQ(stopped.r.interruptCycle, ref.r.cycles / 2);
+    EXPECT_EQ(stopped.events, 12811u);
+    EXPECT_EQ(statsDigest(stopped.r.stats), 0xc7d3f5fe7a01e2b1ull);
+    EXPECT_EQ(textDigest(stopped.r.profileReport),
+              0x3c43962215222984ull);
+    EXPECT_GT(stopped.slept, 0u);
+
+    Observed traced_stop = runOnce(true, mid);
+    EXPECT_TRUE(stopped.r.equals(traced_stop.r))
+        << "interrupted prefix diverged at cycle "
+        << stopped.r.interruptCycle;
+
+    Observed resumed = runOnce(false, {});
+    EXPECT_TRUE(resumed.r.equals(ref.r))
+        << "replay after interruption diverged";
+}
+
+/**
+ * Checkpoint callbacks land on exact cadence multiples: calendar
+ * jumps and tile sleep never overshoot a boundary.
+ */
+TEST(SchedEquiv, CheckpointBoundariesExact)
+{
+    auto w = workloads::makeSaxpy(1024);
+    std::vector<uint64_t> fired;
+    driver::RunOptions ro;
+    ro.checkpointEveryCycles = 64;
+    ro.onCheckpoint = [&](uint64_t cyc) { fired.push_back(cyc); };
+    Observed o = runObserved(w, {}, ro);
+    ASSERT_TRUE(o.r.ok());
+    ASSERT_FALSE(fired.empty());
+    uint64_t prev = 0;
+    for (uint64_t cyc : fired) {
+        EXPECT_GT(cyc, prev);
+        EXPECT_EQ(cyc % 64, 0u);
+        prev = cyc;
+    }
+}
+
+/**
+ * The DRAM-starved saxpy is mostly stalled, so the whole-machine
+ * skip must cover more than half of it, and the bulk stall
+ * accounting over those spans must reproduce the pinned stats.
+ */
+TEST(IdleSkip, DramBoundStallSpansCycleExact)
+{
+    for (unsigned tiles : {1u, 4u}) {
+        SCOPED_TRACE(tiles);
+        auto w = dramStarvedSaxpy();
+        driver::AccelSimEngine::Options eo;
+        eo.tiles = tiles;
+        driver::RunOptions ro;
+        ro.profile = true;
+        Observed o = runObserved(w, eo, ro);
+        expectPinned(o, pinFor("saxpy_dram", tiles, false));
+        EXPECT_GT(o.skipped, o.r.cycles / 2);
+    }
+}
+
+/** The skip must actually fire on a memory-bound workload. */
+TEST(IdleSkip, ActuallySkipsCycles)
+{
+    auto w = workloads::makeSaxpy(1024);
+    Observed o = runObserved(w, {});
+    EXPECT_TRUE(o.r.ok());
+    EXPECT_GT(o.skipped, 0u);
+}
+
+/**
+ * The selection rule's off cases: nonzero fault rates draw RNG every
+ * cycle, so they turn off both the skip and tile sleep; a sink turns
+ * off tile sleep only.
+ */
+TEST(IdleSkip, DisabledReportsZero)
+{
+    auto w1 = workloads::makeSaxpy(1024);
+    driver::AccelSimEngine::Options eo;
+    eo.fault = fixedFaults();
+    Observed faulty = runObserved(w1, eo);
+    EXPECT_TRUE(faulty.r.ok());
+    EXPECT_EQ(faulty.skipped, 0u);
+    EXPECT_EQ(faulty.slept, 0u);
+
+    auto w2 = workloads::makeSaxpy(1024);
+    Observed traced = runTraced(w2, {});
+    EXPECT_TRUE(traced.r.ok());
+    EXPECT_EQ(traced.slept, 0u);
+}

@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the support layer: formatting, stats, RNG, tables.
+ * Unit tests for the support layer: formatting, stats, RNG, tables,
+ * command-line number parsing.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <map>
 #include <sstream>
 
+#include "support/flags.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
 #include "support/stats.hh"
@@ -35,6 +37,37 @@ TEST(LoggingTest, FatalExitsWithOne)
 {
     EXPECT_EXIT(tapas_fatal("bad config %s", "x"),
                 ::testing::ExitedWithCode(1), "bad config x");
+}
+
+TEST(FlagsTest, AcceptsWholeNumbersInRange)
+{
+    EXPECT_EQ(parseUintFlag("--n", "42"), 42u);
+    EXPECT_EQ(parseUintFlag("--n", "0x7a7a5"), 0x7a7a5u);
+    EXPECT_EQ(parseUintFlag("--n", "18446744073709551615"), UINT64_MAX);
+    EXPECT_EQ(parseUnsignedFlag("--n", "4294967295"), UINT_MAX);
+    EXPECT_DOUBLE_EQ(parseRealFlag("--r", "1e-3", 0, 1), 1e-3);
+    EXPECT_DOUBLE_EQ(parseRealFlag("--r", "1", 0, 1), 1.0);
+    EXPECT_DOUBLE_EQ(parseRealFlag("--r", "2.5"), 2.5);
+}
+
+TEST(FlagsTest, RejectsEverythingElse)
+{
+    for (const char *bad : {"", " 1", "+1", "-1", "1x", "0x", "0x1g",
+                            "18446744073709551616"}) {
+        EXPECT_EXIT(parseUintFlag("--n", bad),
+                    ::testing::ExitedWithCode(1), "--n expects an integer")
+            << "'" << bad << "'";
+    }
+    EXPECT_EXIT(parseUnsignedFlag("--n", "4294967296"),
+                ::testing::ExitedWithCode(1), "--n expects an integer");
+    EXPECT_EXIT(parseUnsignedFlag("--n", "0", 1),
+                ::testing::ExitedWithCode(1), "in \\[1, 4294967295\\]");
+    for (const char *bad : {"", " 0.5", "nan", "inf", "2", "-0.1", "0.5x"}) {
+        EXPECT_EXIT(parseRealFlag("--r", bad, 0, 1),
+                    ::testing::ExitedWithCode(1),
+                    "--r expects a finite number")
+            << "'" << bad << "'";
+    }
 }
 
 TEST(LoggingTest, AssertMessage)

@@ -3,7 +3,7 @@
 
 Compares a fresh `bench/sim_throughput --json` report against the
 checked-in baseline (BENCH_simspeed.json at the repo root) row by row,
-keyed on (workload, scheduler, tiles). The metric is simulated KHz —
+keyed on (workload, tiles). The metric is simulated KHz —
 simulated cycles per wall-clock second — so it tracks simulator
 speed, not workload behavior. Cycle counts are also cross-checked
 exactly: a cycle drift means the simulator's *timing model* changed,
@@ -40,7 +40,7 @@ import sys
 
 
 def load_rows(path):
-    """Map (workload, scheduler, tiles) -> row dict."""
+    """Map (workload, tiles) -> row dict."""
     with open(path) as f:
         doc = json.load(f)
     rows = doc.get("rows", [])
@@ -48,21 +48,16 @@ def load_rows(path):
         sys.exit(f"error: {path} has no benchmark rows")
     out = {}
     for r in rows:
-        if not {"workload", "scheduler", "tiles"} <= r.keys():
-            print(f"  warn: {path} has a row without workload/"
-                  "scheduler/tiles keys; skipped")
+        if not {"workload", "tiles"} <= r.keys():
+            print(f"  warn: {path} has a row without workload/tiles "
+                  "keys; skipped")
             continue
-        out[(r["workload"], r["scheduler"], r["tiles"])] = r
+        out[(r["workload"], r["tiles"])] = r
     return out
 
 
-def row_label(key):
-    workload, scheduler, _tiles = key
-    return f"{workload}/{scheduler}"
-
-
 def row_name(key):
-    return f"{row_label(key)} x{key[2]}"
+    return f"{key[0]} x{key[1]}"
 
 
 def main():
@@ -109,6 +104,10 @@ def main():
             print(f"  warn: baseline row {name} lacks cycles/sim_khz;"
                   " skipped")
             continue
+        if "cycles" not in c or "sim_khz" not in c:
+            print(f"  current row {name} lacks cycles/sim_khz")
+            failed = True
+            continue
         if c["cycles"] != b["cycles"]:
             print(f"  CYCLE DRIFT on {name}: baseline {b['cycles']} vs "
                   f"current {c['cycles']} — timing model changed; "
@@ -122,8 +121,7 @@ def main():
             status = "warn"
         else:
             status = "ok"
-        label = row_label(key)
-        print(f"{label:<22} {key[2]:>5} {b['sim_khz']:>10.1f} "
+        print(f"{key[0]:<22} {key[1]:>5} {b['sim_khz']:>10.1f} "
               f"{c['sim_khz']:>10.1f} {ratio:>6.2f}x  {status}")
         b_eps = b.get("events_per_sec")
         c_eps = c.get("events_per_sec")

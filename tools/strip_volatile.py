@@ -2,19 +2,14 @@
 """Normalize a tapas JSON export for byte-level comparison.
 
 The JSON exports are deterministic for a fixed input — same cycles,
-same Pareto frontier, same row order — except for two kinds of keys
-that intentionally record wall-clock facts about the producing run:
+same Pareto frontier, same row order — except for keys that
+intentionally record wall-clock facts about the producing run:
 
   manifest          which binary ran, with what argv, how many jobs
   compile_timings   host seconds per toolchain stage
   host_seconds      wall-clock timings from the throughput bench
   sim_khz           derived from host_seconds
   events_per_sec    derived from host_seconds
-  scheduler         which cycle-loop policy (scan/event) produced a
-                    row — a host-side label; modeled content must be
-                    byte-identical across schedulers, which is
-                    exactly what the CI scheduler-equivalence diff
-                    checks by stripping it
 
 (Modelled "seconds" fields — simulated cycles over Fmax — are
 deterministic and deliberately NOT stripped.)
@@ -44,7 +39,6 @@ VOLATILE_KEYS = {
     "host_seconds",
     "sim_khz",
     "events_per_sec",
-    "scheduler",
 }
 
 

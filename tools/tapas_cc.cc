@@ -27,8 +27,8 @@
  *   --json <path>         machine-readable results ('-' for stdout)
  *   --top <name>          offloaded function (default: first
  *                         function containing a detach)
- *   --fault-rate R        inject faults at rate R (per cycle/event)
- *                         into --run; see sim/fault.hh
+ *   --fault-rate R        inject faults at rate R in [0, 1] (per
+ *                         cycle/event) into --run; see sim/fault.hh
  *   --fault-seed S        fault-schedule seed (default 0x7a7a5)
  *   --max-retries N       per-task fault-retry budget (default 8)
  *   --dse [args...]       design-space exploration (exhaustive grid)
@@ -37,6 +37,12 @@
  *                         compiles, reports the Pareto frontier
  *   --dse-tiles LIST      comma-separated tile counts (1,2,4,8)
  *   --dse-ntasks LIST     comma-separated queue sizes (--ntasks)
+ *
+ * Tile counts and queue sizes must be >= 1. Observing a run (--trace,
+ * --trace-csv, --profile, --explain) never changes its results. The
+ * --trace, --trace-csv and --explain sinks keep every tile awake, and
+ * a nonzero fault rate also turns off the idle-cycle skip, so those
+ * runs simulate slower.
  *
  * Run lifecycle (see DESIGN.md, "Run lifecycle"):
  *   --deadline SEC        wall-clock budget for --run; on expiry the
@@ -86,6 +92,7 @@
 #include "ir/verifier.hh"
 #include "support/atomic_file.hh"
 #include "support/cancel.hh"
+#include "support/flags.hh"
 #include "support/json.hh"
 #include "support/manifest.hh"
 
@@ -135,16 +142,12 @@ usage(const char *argv0)
            "stdout)\n"
            "  --top NAME          offloaded function (default: "
            "first with a detach)\n"
-           "  --fault-rate R      inject faults at rate R into "
-           "--run (0 disables)\n"
+           "  --fault-rate R      inject faults at rate R in [0, 1] "
+           "into --run (0 disables)\n"
            "  --fault-seed S      fault-schedule seed (default "
            "0x7a7a5)\n"
            "  --max-retries N     per-task fault-retry budget "
            "(default 8)\n"
-           "  --scheduler S       cycle-loop policy for --run: "
-           "event (default) or\n"
-           "                      scan (legacy reference loop); "
-           "results are byte-identical\n"
            "  --dse [ARGS...]     explore tiles x ntasks (exhaustive "
            "grid, Cyclone V);\n"
            "                      reports the cycles/ALMs/power "
@@ -168,6 +171,14 @@ usage(const char *argv0)
            "  --dse-resume PATH   resume --dse from its journal\n"
            "  --dse-deadline SEC  wall-clock budget for --dse\n"
            "\n"
+           "tile counts and queue sizes must be >= 1. Observing a run "
+           "never changes its\n"
+           "results: --trace, --trace-csv and --explain keep every tile "
+           "awake, and a\n"
+           "nonzero --fault-rate also turns off idle-cycle skipping, so "
+           "those runs are\n"
+           "slower to simulate.\n"
+           "\n"
            "exit codes: 0 ok, 1 error, 2 usage, 3 run/interp "
            "mismatch,\n"
            "            4 simulation failure, 5 fault budget "
@@ -187,55 +198,19 @@ readFile(const std::string &path)
     return ss.str();
 }
 
-/** Parse a decimal flag argument; fatal() on garbage. */
-unsigned
-parseUnsigned(const std::string &flag, const std::string &text)
-{
-    char *end = nullptr;
-    unsigned long v = std::strtoul(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0')
-        tapas_fatal("%s expects a number, got '%s'", flag.c_str(),
-                    text.c_str());
-    return static_cast<unsigned>(v);
-}
-
-/** Parse a comma-separated list of decimal values ("1,2,4"). */
+/** Parse a comma-separated list of sizes >= 1 ("1,2,4"). */
 std::vector<unsigned>
-parseUnsignedList(const std::string &flag, const std::string &text)
+parseSizeList(const std::string &flag, const std::string &text)
 {
     std::vector<unsigned> values;
     std::string item;
     std::istringstream ss(text);
     while (std::getline(ss, item, ','))
-        values.push_back(parseUnsigned(flag, item));
+        values.push_back(parseUnsignedFlag(flag, item, 1));
     if (values.empty())
         tapas_fatal("%s expects a comma-separated list, got '%s'",
                     flag.c_str(), text.c_str());
     return values;
-}
-
-/** Parse a 64-bit flag argument (cycle counts); fatal() on garbage. */
-uint64_t
-parseUint64(const std::string &flag, const std::string &text)
-{
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(text.c_str(), &end, 0);
-    if (end == text.c_str() || *end != '\0')
-        tapas_fatal("%s expects a number, got '%s'", flag.c_str(),
-                    text.c_str());
-    return v;
-}
-
-/** Parse a (possibly scientific-notation) rate argument. */
-double
-parseDouble(const std::string &flag, const std::string &text)
-{
-    char *end = nullptr;
-    double v = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0' || v < 0)
-        tapas_fatal("%s expects a non-negative number, got '%s'",
-                    flag.c_str(), text.c_str());
-    return v;
 }
 
 /** Parse one CLI run-argument against the function's signature. */
@@ -324,7 +299,6 @@ main(int argc, char **argv)
     std::string dse_journal_path;
     bool dse_resume = false;
     double dse_deadline_sec = 0;
-    sim::Scheduler scheduler = sim::Scheduler::Event;
 
     for (int i = first_flag; i < argc; ++i) {
         std::string a = argv[i];
@@ -337,15 +311,15 @@ main(int argc, char **argv)
         if (a == "--top") {
             top_name = next();
         } else if (a == "--tiles") {
-            tiles = parseUnsigned(a, next());
+            tiles = parseUnsignedFlag(a, next(), 1);
         } else if (a == "--ntasks") {
-            ntasks = parseUnsigned(a, next());
+            ntasks = parseUnsignedFlag(a, next(), 1);
         } else if (a == "--report") {
             report = true;
         } else if (a == "--opt") {
             do_opt = true;
         } else if (a == "--unroll") {
-            unroll = parseUnsigned(a, next());
+            unroll = parseUnsignedFlag(a, next());
         } else if (a == "--trace" || a == "--trace-csv") {
             // A following flag is a forgotten path, not an argument.
             std::string path = next();
@@ -359,26 +333,16 @@ main(int argc, char **argv)
         } else if (a == "--explain") {
             do_explain = true;
         } else if (a == "--jobs") {
-            cli_jobs = parseUnsigned(a, next());
+            cli_jobs = parseUnsignedFlag(a, next());
         } else if (a == "--fault-rate") {
-            fault_rate = parseDouble(a, next());
+            fault_rate = parseRealFlag(a, next(), 0, 1);
             fault_given = true;
         } else if (a == "--fault-seed") {
-            fault_seed = std::strtoull(next().c_str(), nullptr, 0);
+            fault_seed = parseUintFlag(a, next());
             fault_given = true;
         } else if (a == "--max-retries") {
-            max_retries = parseUnsigned(a, next());
+            max_retries = parseUnsignedFlag(a, next());
             fault_given = true;
-        } else if (a == "--scheduler") {
-            std::string s = next();
-            if (s == "scan") {
-                scheduler = sim::Scheduler::Scan;
-            } else if (s == "event") {
-                scheduler = sim::Scheduler::Event;
-            } else {
-                tapas_fatal("--scheduler expects scan or event, "
-                            "got '%s'", s.c_str());
-            }
         } else if (a == "--json") {
             json_path = next();
         } else if (a == "--emit-chisel") {
@@ -388,17 +352,17 @@ main(int argc, char **argv)
         } else if (a == "--help" || a == "-h") {
             usage(argv[0]);
         } else if (a == "--dse-tiles") {
-            dse_tiles = parseUnsignedList(a, next());
+            dse_tiles = parseSizeList(a, next());
         } else if (a == "--dse-ntasks") {
-            dse_ntasks = parseUnsignedList(a, next());
+            dse_ntasks = parseSizeList(a, next());
         } else if (a == "--deadline") {
-            deadline_sec = parseDouble(a, next());
+            deadline_sec = parseRealFlag(a, next());
         } else if (a == "--deadline-cycles") {
-            deadline_cycles = parseUint64(a, next());
+            deadline_cycles = parseUintFlag(a, next());
         } else if (a == "--checkpoint") {
             checkpoint_path = next();
         } else if (a == "--checkpoint-every") {
-            checkpoint_every = parseUint64(a, next());
+            checkpoint_every = parseUintFlag(a, next());
         } else if (a == "--resume") {
             resume_path = next();
         } else if (a == "--dse-journal") {
@@ -407,7 +371,7 @@ main(int argc, char **argv)
             dse_journal_path = next();
             dse_resume = true;
         } else if (a == "--dse-deadline") {
-            dse_deadline_sec = parseDouble(a, next());
+            dse_deadline_sec = parseRealFlag(a, next());
         } else if (a == "--run" || a == "--interp" || a == "--dse") {
             // All engines share one argument list; later flags may
             // omit it.
@@ -626,7 +590,6 @@ main(int argc, char **argv)
                 auto args = setupMem(mem);
                 driver::AccelSimEngine::Options eo;
                 eo.design = cd;
-                eo.scheduler = scheduler;
                 if (!trace_csv_path.empty())
                     eo.tracer = &tracer;
                 if (fault_cfg)
