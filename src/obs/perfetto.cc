@@ -160,13 +160,13 @@ PerfettoTraceSink::taskRetire(uint64_t cycle, unsigned sid,
 
 void
 PerfettoTraceSink::spawnRejected(uint64_t /*cycle*/, unsigned sid,
-                                 bool /*queue_full*/)
+                                 bool /*queue_full*/, uint64_t n)
 {
     // Individual rejects would dwarf the trace (they recur every
     // retry cycle); they surface as a cumulative counter at the next
     // queue sample instead.
-    ++spawnRejectsTotal;
-    ++spawnRejectsByUnit[sid];
+    spawnRejectsTotal += n;
+    spawnRejectsByUnit[sid] += n;
 }
 
 void
@@ -225,9 +225,10 @@ PerfettoTraceSink::cacheMiss(uint64_t /*cycle*/)
 }
 
 void
-PerfettoTraceSink::cacheStall(uint64_t /*cycle*/, bool /*mshr_full*/)
+PerfettoTraceSink::cacheStall(uint64_t /*cycle*/, bool /*mshr_full*/,
+                              uint64_t n)
 {
-    ++cacheStalls;
+    cacheStalls += n;
 }
 
 void

@@ -51,8 +51,8 @@ class PerfettoTraceSink : public TraceSink
                      unsigned slot) override;
     void taskRetire(uint64_t cycle, unsigned sid,
                     unsigned slot) override;
-    void spawnRejected(uint64_t cycle, unsigned sid,
-                       bool queue_full) override;
+    void spawnRejected(uint64_t cycle, unsigned sid, bool queue_full,
+                       uint64_t n) override;
     void faultInjected(uint64_t cycle, const char *kind,
                        unsigned sid) override;
     void faultRecovered(uint64_t cycle, const char *kind,
@@ -61,7 +61,8 @@ class PerfettoTraceSink : public TraceSink
                         const char *reason) override;
     void checkpointWritten(uint64_t cycle) override;
     void cacheMiss(uint64_t cycle) override;
-    void cacheStall(uint64_t cycle, bool mshr_full) override;
+    void cacheStall(uint64_t cycle, bool mshr_full,
+                    uint64_t n) override;
     void queueSample(uint64_t cycle, unsigned sid,
                      unsigned occupancy) override;
     void missSample(uint64_t cycle, unsigned outstanding) override;

@@ -88,23 +88,29 @@ class TraceSink
     {}
 
     /**
-     * A spawn aimed at unit `sid` was rejected this cycle:
+     * `n` spawns aimed at unit `sid` were rejected, from `cycle` on:
      * `queue_full` distinguishes a full task queue from losing the
-     * one-accept-per-cycle port arbitration.
+     * one-accept-per-cycle port arbitration. A live reject has n = 1.
+     * A stall span the simulator skipped or slept through arrives as
+     * one event when the span is accounted, with `cycle` its first
+     * cycle, so it may follow events of later cycles.
      */
     virtual void
     spawnRejected(uint64_t /*cycle*/, unsigned /*sid*/,
-                  bool /*queue_full*/)
+                  bool /*queue_full*/, uint64_t /*n*/)
     {}
 
     /** The shared L1 recorded a (non-merged or merged) miss. */
     virtual void cacheMiss(uint64_t /*cycle*/) {}
 
     /**
-     * The shared L1 rejected a request: `mshr_full` distinguishes
-     * MSHR exhaustion from port contention.
+     * The shared L1 rejected `n` requests, from `cycle` on:
+     * `mshr_full` distinguishes MSHR exhaustion from port contention.
+     * Spans arrive as one event, as in spawnRejected().
      */
-    virtual void cacheStall(uint64_t /*cycle*/, bool /*mshr_full*/) {}
+    virtual void
+    cacheStall(uint64_t /*cycle*/, bool /*mshr_full*/, uint64_t /*n*/)
+    {}
 
     /**
      * A fault was injected. `kind` is a stable snake_case label

@@ -135,18 +135,16 @@ AcceleratorSim::run(const std::vector<RtValue> &top_args)
     for (auto &u : units)
         u->resetFiring(); // stale stamps from a previous run()
 
-    // The run's inputs alone pick the fast paths. Skipping stays
+    // The fault rate alone picks the fast paths. Skipping stays
     // exact only while nothing draws RNG per cycle, so any nonzero
     // fault rate turns off both the whole-machine skip and tile
-    // sleep. Quiet tiles sleep through stall spans (settled in bulk
-    // on wake-up) unless a sink is attached: sinks consume per-cycle
-    // stall events that bulk accounting would drop.
+    // sleep. Otherwise quiet tiles sleep through stall spans, settled
+    // in bulk on wake-up, and sinks receive each span as one event.
     const bool skip_allowed =
         !(faultInj && faultInj->config().any());
-    const bool tile_sleep = skip_allowed && !hasSinks;
     calendar.reset(0);
     for (auto &u : units)
-        u->tileSleep = tile_sleep;
+        u->tileSleep = skip_allowed;
 
     // The host (ARM) writes the arguments and kicks the root unit.
     // With a fault injector the kick handshake itself may be dropped;
@@ -248,7 +246,7 @@ AcceleratorSim::run(const std::vector<RtValue> &top_args)
             units[sid]->injectQueueCorruption(cyc, *faultInj);
         }
 
-        if (tile_sleep)
+        if (skip_allowed)
             calendar.advanceTo(cyc); // entries <= cyc settle below
 
         for (auto &u : units)
@@ -257,9 +255,13 @@ AcceleratorSim::run(const std::vector<RtValue> &top_args)
 
         if (prof) {
             for (auto &u : units)
-                u->profileCycle(cyc);
+                u->profileCycle();
         }
         if (observed() && cyc % sampleInterval == 0) {
+            // Sleeping tiles would have ticked quietly through this
+            // cycle: bring their stall totals up to date first.
+            for (auto &u : units)
+                u->accrueAllSleeping(cyc);
             for (unsigned sid = 0; sid < units.size(); ++sid) {
                 for (obs::TraceSink *s : sinks)
                     s->queueSample(cyc, sid, units[sid]->occupancy());
@@ -295,7 +297,8 @@ AcceleratorSim::run(const std::vector<RtValue> &top_args)
         // with a zero wake. Capping at the watchdog deadline, the
         // cycle limit, and the next trace-sample boundary keeps
         // failures and observability streams byte-identical to the
-        // unskipped simulation.
+        // unskipped simulation; stall spans reach sinks as one event
+        // each (see accountSkipped()).
         if (skip_allowed && rootSpawned && last_progress_cycle != cyc) {
             // Sleeping tiles are excluded from the unit rescan below;
             // the calendar holds their wake bounds (kNone == kNoWake,
@@ -303,7 +306,7 @@ AcceleratorSim::run(const std::vector<RtValue> &top_args)
             uint64_t wake = calendar.nextEventAt();
             bool can_skip = true;
             for (auto &u : units) {
-                uint64_t w = u->nextWake(cyc, !hasSinks);
+                uint64_t w = u->nextWake(cyc);
                 if (w == 0) {
                     can_skip = false;
                     break;

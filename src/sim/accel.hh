@@ -158,13 +158,22 @@ class InstanceExec
     uint64_t firedCount() const { return firedNodes; }
 
     /**
-     * Count in-flight nodes by phase across every live frame:
+     * Add the in-flight nodes by phase across every live frame:
      * executing (fixed-latency ops), waiting on memory tickets, and
      * retrying a back-pressured spawn. Used by the cycle-attribution
-     * profiler to classify a unit's cycle.
+     * profiler to classify a unit's cycle and by residency stall
+     * attribution. O(1): reads the counts setPhase() maintains.
      */
-    void phaseCensus(unsigned &exec, unsigned &mem,
-                     unsigned &spawn) const;
+    void
+    phaseCensus(unsigned &exec, unsigned &mem, unsigned &spawn) const
+    {
+#ifndef NDEBUG
+        checkPhaseCounts();
+#endif
+        exec += phaseCount[0];
+        mem += phaseCount[1];
+        spawn += phaseCount[2];
+    }
 
     /**
      * Idle-skip wake computation: the earliest future cycle at which
@@ -259,6 +268,26 @@ class InstanceExec
          */
         uint32_t doneCount = 0;
     };
+
+    /**
+     * phaseCount slot of each Phase: Exec, Mem and SpawnRetry are
+     * counted; every other phase maps to slot 3, a scratch slot that
+     * is never read (nodes enter Waiting by bulk assignment in
+     * enterBlock(), uncounted).
+     */
+    static constexpr uint8_t kPhaseSlot[] = {3, 0, 1, 2, 3, 3, 3, 3};
+
+    /** Move node `st` to phase `p`, keeping phaseCount exact. */
+    void
+    setPhase(NodeState &st, Phase p)
+    {
+        --phaseCount[kPhaseSlot[static_cast<size_t>(st.phase)]];
+        ++phaseCount[kPhaseSlot[static_cast<size_t>(p)]];
+        st.phase = p;
+    }
+
+    /** Debug cross-check: recount phaseCount from the node states. */
+    void checkPhaseCounts() const;
 
     /** Operand fetch: indexed load + 2-bit tag switch. */
     ir::RtValue evalRef(const Frame &frame, ir::OperandRef r) const;
@@ -357,6 +386,15 @@ class InstanceExec
     bool done = false;
     unsigned memInFlight = 0;
     uint64_t firedNodes = 0;
+
+    /**
+     * Nodes of every live frame in Exec, Mem and SpawnRetry (slots
+     * 0-2, see kPhaseSlot), maintained by setPhase() on every phase
+     * transition the way Frame::doneCount is, so phaseCensus() never
+     * rescans node states. A frame leaves a block only once every
+     * node is DoneNode, so block entry and frame pops need no update.
+     */
+    std::array<uint32_t, 4> phaseCount{};
 };
 
 /** Task-queue entry states (paper Fig. 5). */
@@ -432,7 +470,7 @@ class TaskUnit
      * work, a dispatchable entry, a spawn under back-pressure);
      * InstanceExec::kNoWake means the unit holds no timers.
      */
-    uint64_t nextWake(uint64_t now, bool allow_stall_bulk) const;
+    uint64_t nextWake(uint64_t now) const;
 
     /**
      * Account `n` skipped quiet cycles: per-tile busy-cycle counters
@@ -489,6 +527,21 @@ class TaskUnit
         }
     }
 
+    /**
+     * Sample-boundary accrual: every sleeping tile accounts its span
+     * through `upto` (this processed cycle) and keeps sleeping, so
+     * the cumulative stall totals a sink samples now are the ones
+     * per-cycle ticking would show.
+     */
+    void
+    accrueAllSleeping(uint64_t upto)
+    {
+        for (size_t ti = 0; ti < tiles.size(); ++ti) {
+            if (tileSleepUntil[ti] != 0)
+                accrueTile(static_cast<unsigned>(ti), upto);
+        }
+    }
+
     // --- statistics ---------------------------------------------------
 
     StatGroup stats;
@@ -534,6 +587,13 @@ class TaskUnit
         unsigned faultRetries = 0;
     };
 
+    /**
+     * Residency stall attribution for `n` cycles in which `e` fired
+     * nothing, from its current phase census (counted only while a
+     * trace sink is attached).
+     */
+    void chargeResidency(QueueEntry &e, uint64_t n);
+
     /** Checksum over an entry's marshaled arguments (models ECC). */
     static uint32_t argsChecksum(const std::vector<ir::RtValue> &args,
                                  unsigned sid, unsigned slot);
@@ -568,11 +628,18 @@ class TaskUnit
     uint64_t tileWake(const Tile &tile, uint64_t now);
 
     /**
-     * Close out a sleeping tile's skipped span: bulk-account the
-     * quiet cycles (sleepBase, upto] exactly as per-cycle ticking
-     * would have accrued them one by one — tile-busy counters plus
-     * the data box's stall/retry witnesses — then mark the tile
-     * awake. The tile's next real tick restamps every witness.
+     * Bulk-account a sleeping tile's quiet cycles (sleepBase, upto]
+     * exactly as per-cycle ticking would have accrued them one by
+     * one — tile-busy counters, the data box's stall/retry
+     * witnesses, residency stalls, spawn-waiter reject credit — and
+     * advance sleepBase to `upto`. The tile keeps sleeping.
+     */
+    void accrueTile(unsigned t, uint64_t upto);
+
+    /**
+     * Close out a sleeping tile's skipped span: accrueTile() through
+     * `upto`, unregister its spawn waits, and mark it awake. The
+     * tile's next real tick restamps every witness.
      */
     void settleTile(unsigned t, uint64_t upto);
 
@@ -654,7 +721,7 @@ class TaskUnit
     size_t tickTilePos = 0;
 
     /** Attribute this cycle to a profiler bucket (profiler only). */
-    void profileCycle(uint64_t now);
+    void profileCycle();
 
     /**
      * Shared classification core of profileCycle()/accountSkipped():
@@ -918,13 +985,15 @@ class AcceleratorSim
             s->taskRetire(cycle, sid, slot);
     }
 
+    /** `n` rejects from `cycle` on: more than one for a span. */
     void
-    emitSpawnReject(uint64_t cycle, unsigned sid, bool queue_full)
+    emitSpawnReject(uint64_t cycle, unsigned sid, bool queue_full,
+                    uint64_t n = 1)
     {
         if (!hasSinks)
             return;
         for (obs::TraceSink *s : sinks)
-            s->spawnRejected(cycle, sid, queue_full);
+            s->spawnRejected(cycle, sid, queue_full, n);
     }
 
     /**
@@ -1014,8 +1083,8 @@ class AcceleratorSim
 
     /**
      * Tile-cycles the last run() covered with per-tile sleep spans
-     * (summed over units; 0 when a sink or fault rate kept every
-     * tile awake). Diagnostic only — never folded into stats or
+     * (summed over units; 0 when a fault rate kept every tile
+     * awake). Diagnostic only — never folded into stats or
      * RunResult.
      */
     uint64_t tileSleptCycles() const

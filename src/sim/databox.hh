@@ -71,30 +71,20 @@ class DataBox
      * allocated this cycle: that reject then provably repeats every
      * cycle (no accepts anywhere during a quiet span, so the cache's
      * line/MSHR state is frozen) until the earliest MSHR retires,
-     * which is the returned wake. `allow_bulk` is false when trace
-     * sinks are attached — skipped retries would drop their
-     * per-cycle cacheStall events.
+     * which is the returned wake.
      */
     uint64_t
-    stallWake(uint64_t now, bool allow_bulk) const
+    stallWake(uint64_t now) const
     {
         if (issueQueue.empty())
             return ~0ull;
-        if (!allow_bulk || headRejectCycle != now ||
-            !headRejectMshrFull ||
+        if (headRejectCycle != now || !headRejectMshrFull ||
             cache.lastMshrAllocCycle() == now) {
             return 0;
         }
         return cache.nextMshrRetireAt();
     }
 
-    /**
-     * Bulk-account `n` skipped cycles after a quiet cycle `base`:
-     * a head rejected at `base` would have retried (and been
-     * rejected) once per cycle; every submit rejected at `base`
-     * would likewise have retried per cycle while the staging table
-     * stayed full.
-     */
     /**
      * Forget stall witnesses (fresh run: cycle numbers restart, so
      * a stale witness could alias a new cycle and wrongly validate
@@ -109,15 +99,28 @@ class DataBox
         fullRejectsThisCycle = 0;
     }
 
+    /**
+     * Bulk-account the skipped cycles (base, upto] after a quiet
+     * cycle `base`: a head rejected at `base` would have retried
+     * (and been rejected) once per cycle; every submit rejected at
+     * `base` would likewise have retried per cycle while the staging
+     * table stayed full. The witnesses then move to `upto`, whose
+     * rejects are now accounted too, so a sleeping tile can accrue
+     * its span in pieces.
+     */
     void
-    accountSkipped(uint64_t n, uint64_t base)
+    accountSkipped(uint64_t base, uint64_t upto)
     {
+        const uint64_t n = upto - base;
         if (!issueQueue.empty() && headRejectCycle == base) {
             cacheRetries += n;
-            cache.bulkStallRejects(n);
+            cache.bulkStallRejects(base + 1, n);
+            headRejectCycle = upto;
         }
-        if (fullRejectCycle == base)
+        if (fullRejectCycle == base) {
             fullRejects += n * fullRejectsThisCycle;
+            fullRejectCycle = upto;
+        }
     }
 
     /**

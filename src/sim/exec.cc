@@ -47,6 +47,7 @@ InstanceExec::reset()
     done = false;
     memInFlight = 0;
     firedNodes = 0;
+    phaseCount = {};
 }
 
 InstanceExec::Frame &
@@ -162,7 +163,7 @@ InstanceExec::enterBlock(Frame &frame, const BasicBlock *bb,
         phiScratch.push_back(evalRef(frame, oprs[i]));
     for (uint32_t i = 0; i < lb.numPhis; ++i) {
         frame.regs[lb.firstId + i] = phiScratch[i];
-        frame.nst[i].phase = Phase::DoneNode;
+        setPhase(frame.nst[i], Phase::DoneNode);
         frame.nst[i].doneAt = now;
     }
     frame.doneCount = lb.numPhis;
@@ -210,10 +211,10 @@ InstanceExec::presentSpawn(Frame &frame, NodeState &st,
     if (detach) {
         // The spawn-port handshake completes after the op latency.
         sim.unit(self.sid).noteChildSpawned(self.slot);
-        st.phase = Phase::Exec;
+        setPhase(st, Phase::Exec);
         st.doneAt = now + std::max(1u, mop.latency);
     } else {
-        st.phase = Phase::CallWait; // task call: await the value
+        setPhase(st, Phase::CallWait); // task call: await the value
     }
     st.spawnDropStreak = 0;
     return true;
@@ -238,7 +239,7 @@ InstanceExec::fire(Frame &frame, size_t idx, const MicroOp &mop,
     NodeState &st = frame.nst[idx];
 
     auto finish_fixed = [&](unsigned latency) {
-        st.phase = Phase::Exec;
+        setPhase(st, Phase::Exec);
         st.doneAt = now + std::max(1u, latency);
     };
 
@@ -305,7 +306,7 @@ InstanceExec::fire(Frame &frame, size_t idx, const MicroOp &mop,
             frame.regs[mop.id] = RtValue::fromInt(
                 sim.mem().loadInt(addr, mop.memSize));
         }
-        st.phase = Phase::Mem;
+        setPhase(st, Phase::Mem);
         st.ticket = ticket;
         ++memInFlight;
         return;
@@ -330,7 +331,7 @@ InstanceExec::fire(Frame &frame, size_t idx, const MicroOp &mop,
         } else {
             sim.mem().storeInt(addr, mop.memSize, v.i);
         }
-        st.phase = Phase::Mem;
+        setPhase(st, Phase::Mem);
         st.ticket = ticket;
         ++memInFlight;
         return;
@@ -345,7 +346,7 @@ InstanceExec::fire(Frame &frame, size_t idx, const MicroOp &mop,
         }
         // Leaf call: push an inlined activation record.
         marshalArgs(frame, mop);
-        st.phase = Phase::LeafCall;
+        setPhase(st, Phase::LeafCall);
         pushLeafFrame(ir::cast<const ir::CallInst>(mop.inst));
         return;
       case MicroKind::Br:
@@ -366,7 +367,7 @@ InstanceExec::fire(Frame &frame, size_t idx, const MicroOp &mop,
         finish_fixed(sim.params().joinLatency);
         return;
       case MicroKind::Sync:
-        st.phase = Phase::SyncWait; // resolved against the counter
+        setPhase(st, Phase::SyncWait); // resolved against the counter
         return;
       case MicroKind::PhiNode:
       default:
@@ -398,7 +399,7 @@ void
 InstanceExec::noteSpawnFailure(NodeState &st, SpawnOutcome oc,
                                uint64_t now)
 {
-    st.phase = Phase::SpawnRetry;
+    setPhase(st, Phase::SpawnRetry);
     if (oc == SpawnOutcome::Dropped) {
         FaultInjector *inj = sim.faultInjector();
         st.nextRetryAt =
@@ -496,26 +497,19 @@ InstanceExec::nextWake(uint64_t now, const DataBox &box,
 }
 
 void
-InstanceExec::phaseCensus(unsigned &exec, unsigned &mem,
-                          unsigned &spawn) const
+InstanceExec::checkPhaseCounts() const
 {
+    std::array<uint32_t, 4> n{};
     for (size_t fi = 0; fi < nFrames; ++fi) {
-        for (const NodeState &st : frames[fi].nst) {
-            switch (st.phase) {
-              case Phase::Exec:
-                ++exec;
-                break;
-              case Phase::Mem:
-                ++mem;
-                break;
-              case Phase::SpawnRetry:
-                ++spawn;
-                break;
-              default:
-                break;
-            }
-        }
+        for (const NodeState &st : frames[fi].nst)
+            ++n[kPhaseSlot[static_cast<size_t>(st.phase)]];
     }
+    tapas_assert(n[0] == phaseCount[0] && n[1] == phaseCount[1] &&
+                     n[2] == phaseCount[2],
+                 "phase counts out of sync: counted %u/%u/%u "
+                 "exec/mem/spawn, maintained %u/%u/%u",
+                 n[0], n[1], n[2], phaseCount[0], phaseCount[1],
+                 phaseCount[2]);
 }
 
 InstanceExec::Status
@@ -581,7 +575,7 @@ InstanceExec::step(uint64_t now, Tile &tile)
             break;
           case Phase::Exec:
             if (st.doneAt <= now) {
-                st.phase = Phase::DoneNode;
+                setPhase(st, Phase::DoneNode);
                 ++frame.doneCount;
                 sim.progressEvent();
             } else {
@@ -590,7 +584,7 @@ InstanceExec::step(uint64_t now, Tile &tile)
             break;
           case Phase::Mem:
             if (tile.box.poll(st.ticket, now)) {
-                st.phase = Phase::DoneNode;
+                setPhase(st, Phase::DoneNode);
                 st.doneAt = now;
                 ++frame.doneCount;
                 --memInFlight;
@@ -614,7 +608,7 @@ InstanceExec::step(uint64_t now, Tile &tile)
             }
             if (!mop.isVoid)
                 frame.regs[mop.id] = st.callValue;
-            st.phase = Phase::DoneNode;
+            setPhase(st, Phase::DoneNode);
             st.doneAt = now;
             ++frame.doneCount;
             sim.progressEvent();
@@ -636,7 +630,7 @@ InstanceExec::step(uint64_t now, Tile &tile)
         if (sim.unit(self.sid).childCountOf(self.slot) == 0) {
             for (size_t i = 0; i < n; ++i) {
                 if (nst[i].phase == Phase::SyncWait) {
-                    nst[i].phase = Phase::Exec;
+                    setPhase(nst[i], Phase::Exec);
                     nst[i].doneAt = now + 1;
                     sim.progressEvent();
                 }
@@ -696,7 +690,7 @@ InstanceExec::finishBlock(uint64_t now)
                          "leaf return to a foreign call site");
             if (!call.isVoid)
                 caller.regs[call.id] = v;
-            caller.nst[idx].phase = Phase::DoneNode;
+            setPhase(caller.nst[idx], Phase::DoneNode);
             caller.nst[idx].doneAt = now;
             ++caller.doneCount;
             sim.progressEvent();

@@ -151,10 +151,16 @@ class SharedCache
     uint64_t lastMshrAllocCycle() const { return mshrAllocCycle; }
 
     /**
-     * Bulk-account `n` skipped cycles of one MSHR-full stall span:
-     * the span's per-cycle retry would have rejected once per cycle.
+     * Bulk-account `n` skipped cycles of one MSHR-full stall span
+     * starting at cycle `begin`: the span's per-cycle retry would
+     * have rejected once per cycle. Sinks get the span as one event.
      */
-    void bulkStallRejects(uint64_t n) { mshrRejects += n; }
+    void
+    bulkStallRejects(uint64_t begin, uint64_t n)
+    {
+        mshrRejects += n;
+        emitStall(begin, /*mshr_full=*/true, n);
+    }
 
     /** MSHRs currently tracking an in-flight miss (counter track). */
     unsigned
@@ -234,12 +240,12 @@ class SharedCache
     }
 
     void
-    emitStall(uint64_t now, bool mshr_full)
+    emitStall(uint64_t now, bool mshr_full, uint64_t n = 1)
     {
         if (!hasSinks)
             return;
         for (obs::TraceSink *s : sinks)
-            s->cacheStall(now, mshr_full);
+            s->cacheStall(now, mshr_full, n);
     }
 
     /** Perturb an accepted result per the attached injector. */

@@ -353,25 +353,10 @@ TaskUnit::tick(uint64_t now)
                          "active slot not in EXE");
             InstanceExec::Status st;
             if (counting) {
-                // Residency stall attribution: a cycle in which the
-                // instance fired nothing and holds no executing node
-                // was spent entirely blocked — on memory responses
-                // or on spawn back-pressure, memory winning ties
-                // (same priority as classifyCycle()). Everything
-                // else (including pipeline fill at a block boundary)
-                // is compute.
                 const uint64_t before = e.exec->firedCount();
                 st = e.exec->step(now, tile);
-                if (e.exec->firedCount() == before) {
-                    unsigned ex = 0, mm = 0, sp = 0;
-                    e.exec->phaseCensus(ex, mm, sp);
-                    if (ex == 0) {
-                        if (mm > 0)
-                            ++e.residMem;
-                        else if (sp > 0)
-                            ++e.residSpawn;
-                    }
-                }
+                if (e.exec->firedCount() == before)
+                    chargeResidency(e, 1);
             } else {
                 st = e.exec->step(now, tile);
             }
@@ -429,7 +414,7 @@ TaskUnit::tick(uint64_t now)
 uint64_t
 TaskUnit::tileWake(const Tile &tile, uint64_t now)
 {
-    // Per-tile stall spans may be bulk-accounted (allow_bulk): an
+    // Per-tile stall spans may be bulk-accounted (stallWake): an
     // MSHR-full head reject repeats identically every cycle until an
     // MSHR retires no matter what other tiles do (rejects never
     // allocate, and MSHR-full is classified before port contention).
@@ -439,7 +424,7 @@ TaskUnit::tileWake(const Tile &tile, uint64_t now)
     // retire() — the only free site — pokes every registered waiter,
     // so the span stays exactly bounded.
     waitScratch.clear();
-    uint64_t wake = tile.box.stallWake(now, /*allow_bulk=*/true);
+    uint64_t wake = tile.box.stallWake(now);
     if (wake == 0)
         return 0;
     for (unsigned slot : tile.active) {
@@ -515,35 +500,68 @@ TaskUnit::pokeSpawnWaiters(uint64_t now)
 }
 
 void
-TaskUnit::settleTile(unsigned t, uint64_t upto)
+TaskUnit::chargeResidency(QueueEntry &e, uint64_t n)
+{
+    // Residency stall attribution: a cycle in which the instance
+    // fired nothing and holds no executing node was spent entirely
+    // blocked — on memory responses or on spawn back-pressure, memory
+    // winning ties (same priority as classifyCycle()). Everything
+    // else (including pipeline fill at a block boundary) is compute.
+    unsigned ex = 0, mm = 0, sp = 0;
+    e.exec->phaseCensus(ex, mm, sp);
+    if (ex == 0) {
+        if (mm > 0)
+            e.residMem += n;
+        else if (sp > 0)
+            e.residSpawn += n;
+    }
+}
+
+void
+TaskUnit::accrueTile(unsigned t, uint64_t upto)
 {
     Tile &tile = *tiles[t];
     const uint64_t base = tileSleepBase[t];
     tapas_assert(upto >= base, "settling a tile backwards");
     const uint64_t n = upto - base;
-    if (n > 0) {
-        // Exactly what n ticked quiet cycles would have accrued:
-        // the busy-cycle count (membership is frozen while asleep —
-        // detach needs a step, dispatch pokes) and the data box's
-        // per-cycle retry/reject witnesses. Residency attribution
-        // needs nothing: tiles sleep only with no sinks attached.
-        if (!tile.active.empty())
-            tileBusyCycles += n;
-        tile.box.accountSkipped(n, base);
-        tileSlept += n;
+    if (n == 0)
+        return;
+    // Exactly what n ticked quiet cycles would have accrued: the
+    // busy-cycle count (membership is frozen while asleep — detach
+    // needs a step, dispatch pokes), the data box's per-cycle
+    // retry/reject witnesses (moved along to `upto`), and, under
+    // sinks, each resident's residency stalls from its frozen
+    // census.
+    if (!tile.active.empty())
+        tileBusyCycles += n;
+    tile.box.accountSkipped(base, upto);
+    if (sim.observed()) {
+        for (unsigned slot : tile.active)
+            chargeResidency(entries[slot], n);
     }
-    // Spawn-waiter teardown: each slept cycle re-presented every
-    // retrying node against its (provably still-full) target queue,
-    // so the target tallies one queue-full reject per node per
-    // cycle — exactly what live ticking would have counted. The
-    // targets' own reject witnesses only cover live attempts, so
-    // this credit never overlaps accountSkipped()'s replay.
+    // Each slept cycle re-presented every retrying node against its
+    // (provably still-full) target queue, so the target tallies one
+    // queue-full reject per node per cycle — exactly what live
+    // ticking would have counted. The targets' own reject witnesses
+    // only cover live attempts, so this credit never overlaps
+    // accountSkipped()'s replay.
+    for (const auto &[tsid, cnt] : tileSpawnWaits[t]) {
+        sim.unit(tsid).spawnRejects += n * cnt;
+        sim.emitSpawnReject(base + 1, tsid, /*queue_full=*/true,
+                            n * cnt);
+    }
+    tileSlept += n;
+    tileSleepBase[t] = upto;
+}
+
+void
+TaskUnit::settleTile(unsigned t, uint64_t upto)
+{
+    accrueTile(t, upto);
+    // Spawn-waiter teardown: unregister from every target.
     auto &waits = tileSpawnWaits[t];
     for (const auto &[tsid, cnt] : waits) {
-        TaskUnit &target = sim.unit(tsid);
-        if (n > 0)
-            target.spawnRejects += n * cnt;
-        auto &reg = target.spawnWaiters;
+        auto &reg = sim.unit(tsid).spawnWaiters;
         for (size_t i = 0; i < reg.size(); ++i) {
             if (reg[i].first == this && reg[i].second == t) {
                 reg[i] = reg.back();
@@ -624,7 +642,7 @@ TaskUnit::noteChildSpawned(unsigned slot)
 }
 
 uint64_t
-TaskUnit::nextWake(uint64_t now, bool allow_stall_bulk) const
+TaskUnit::nextWake(uint64_t now) const
 {
     uint64_t wake = InstanceExec::kNoWake;
 
@@ -656,7 +674,7 @@ TaskUnit::nextWake(uint64_t now, bool allow_stall_bulk) const
         // Unissued requests churn cache/arbiter state every cycle;
         // a witnessed MSHR-full stall span yields a retire-time
         // bound instead of a veto (bulk-accounted on skip).
-        uint64_t bw = tile.box.stallWake(now, allow_stall_bulk);
+        uint64_t bw = tile.box.stallWake(now);
         if (bw == 0)
             return 0;
         wake = std::min(wake, bw);
@@ -664,7 +682,7 @@ TaskUnit::nextWake(uint64_t now, bool allow_stall_bulk) const
             wake = std::min(wake, tile.stuckUntil);
         for (unsigned slot : tile.active) {
             uint64_t w = entries[slot].exec->nextWake(
-                now, tile.box, allow_stall_bulk);
+                now, tile.box, /*allow_bulk=*/true);
             if (w == 0)
                 return 0;
             wake = std::min(wake, w);
@@ -676,40 +694,32 @@ TaskUnit::nextWake(uint64_t now, bool allow_stall_bulk) const
 void
 TaskUnit::accountSkipped(uint64_t n, uint64_t base)
 {
+    const bool observed = sim.observed();
     for (size_t ti = 0; ti < tiles.size(); ++ti) {
-        const auto &t = tiles[ti];
+        Tile &t = *tiles[ti];
         // A sleeping tile settles its own span on wake-up; counting
         // it here too would double-account (the spans overlap).
         if (tileSleepUntil[ti] != 0)
             continue;
-        if (!t->active.empty())
+        if (!t.active.empty())
             tileBusyCycles += n;
-        t->box.accountSkipped(n, base);
-    }
-    // Spawners rejected queue-full at `base` re-present (and are
-    // re-rejected) once per skipped cycle.
-    if (spawnRejectCycle == base)
-        spawnRejects += n * spawnRejectsThisCycle;
-    if (sim.observed()) {
+        t.box.accountSkipped(base, base + n);
         // Residency stall attribution over the skipped span: a quiet
         // span fires nothing and expires no timers, so each on-tile
         // instance's phase census is the one the per-cycle path would
-        // have seen every skipped cycle (skip-on == skip-off).
-        for (const auto &t : tiles) {
-            if (t->stuckUntil > base + 1)
-                continue; // frozen: the per-cycle path never steps it
-            for (unsigned slot : t->active) {
-                QueueEntry &e = entries[slot];
-                unsigned ex = 0, mm = 0, sp = 0;
-                e.exec->phaseCensus(ex, mm, sp);
-                if (ex == 0) {
-                    if (mm > 0)
-                        e.residMem += n;
-                    else if (sp > 0)
-                        e.residSpawn += n;
-                }
-            }
+        // have seen every skipped cycle. A frozen tile is never
+        // stepped, so it charges nothing.
+        if (observed && t.stuckUntil <= base + 1) {
+            for (unsigned slot : t.active)
+                chargeResidency(entries[slot], n);
         }
+    }
+    // Spawners rejected queue-full at `base` re-present (and are
+    // re-rejected) once per skipped cycle.
+    if (spawnRejectCycle == base && spawnRejectsThisCycle > 0) {
+        spawnRejects += n * spawnRejectsThisCycle;
+        sim.emitSpawnReject(base + 1, _task.sid(), /*queue_full=*/true,
+                            n * spawnRejectsThisCycle);
     }
     if (obs::CycleProfiler *prof = sim.profiler()) {
         // A skipped cycle fired nothing and dispatched nothing by
@@ -726,10 +736,11 @@ TaskUnit::classifyCycle(bool fired_any) const
     if (occupancy() == 0)
         return obs::CycleBucket::Idle;
 
+    // Executing instances are exactly the tiles' residents.
     unsigned exec_n = 0, mem_n = 0, spawn_n = 0;
-    for (const QueueEntry &e : entries) {
-        if (e.state == EntryState::Exe && e.exec)
-            e.exec->phaseCensus(exec_n, mem_n, spawn_n);
+    for (const auto &t : tiles) {
+        for (unsigned slot : t->active)
+            entries[slot].exec->phaseCensus(exec_n, mem_n, spawn_n);
     }
 
     // Exactly one bucket per unit per cycle, most-productive first:
@@ -747,9 +758,8 @@ TaskUnit::classifyCycle(bool fired_any) const
 }
 
 void
-TaskUnit::profileCycle(uint64_t now)
+TaskUnit::profileCycle()
 {
-    (void)now;
     obs::CycleProfiler *prof = sim.profiler();
     if (!prof)
         return;

@@ -39,10 +39,10 @@
  *   --dse-ntasks LIST     comma-separated queue sizes (--ntasks)
  *
  * Tile counts and queue sizes must be >= 1. Observing a run (--trace,
- * --trace-csv, --profile, --explain) never changes its results. The
- * --trace, --trace-csv and --explain sinks keep every tile awake, and
- * a nonzero fault rate also turns off the idle-cycle skip, so those
- * runs simulate slower.
+ * --trace-csv, --profile, --explain) never changes its results, and
+ * it simulates on the same fast path as a plain run. A nonzero fault
+ * rate keeps every tile awake and turns off the idle-cycle skip, so
+ * those runs simulate slower.
  *
  * Run lifecycle (see DESIGN.md, "Run lifecycle"):
  *   --deadline SEC        wall-clock budget for --run; on expiry the
@@ -173,11 +173,11 @@ usage(const char *argv0)
            "\n"
            "tile counts and queue sizes must be >= 1. Observing a run "
            "never changes its\n"
-           "results: --trace, --trace-csv and --explain keep every tile "
-           "awake, and a\n"
-           "nonzero --fault-rate also turns off idle-cycle skipping, so "
-           "those runs are\n"
-           "slower to simulate.\n"
+           "results or its simulation speed class. A nonzero "
+           "--fault-rate keeps every\n"
+           "tile awake and turns off idle-cycle skipping, so those "
+           "runs are slower to\n"
+           "simulate.\n"
            "\n"
            "exit codes: 0 ok, 1 error, 2 usage, 3 run/interp "
            "mismatch,\n"
