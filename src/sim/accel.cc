@@ -132,19 +132,23 @@ AcceleratorSim::run(const std::vector<RtValue> &top_args)
     failure_ = SimFailure{};
     rootValue = RtValue{};
     cyclesSkipped = 0;
-    for (auto &u : units)
-        u->resetFiring(); // stale stamps from a previous run()
-
-    // The fault rate alone picks the fast paths. Skipping stays
-    // exact only while nothing draws RNG per cycle, so any nonzero
-    // fault rate turns off both the whole-machine skip and tile
-    // sleep. Otherwise quiet tiles sleep through stall spans, settled
-    // in bulk on wake-up, and sinks receive each span as one event.
-    const bool skip_allowed =
-        !(faultInj && faultInj->config().any());
     calendar.reset(0);
-    for (auto &u : units)
-        u->tileSleep = skip_allowed;
+    awakeTiles = 0;
+    for (auto &u : units) {
+        u->resetFiring(); // stale stamps from a previous run()
+        awakeTiles += u->tiles.size();
+    }
+
+    // Queue-RAM bit flips arrive at drawn cycles. Each arrival after
+    // cycle 0 goes on the calendar, so a fast-forward lands on it.
+    uint64_t corrupt_at = FaultInjector::kNever;
+    auto draw_corruption = [&](uint64_t from) {
+        corrupt_at = faultInj ? faultInj->nextCorruptionFrom(from)
+                              : FaultInjector::kNever;
+        if (corrupt_at != FaultInjector::kNever && corrupt_at > 0)
+            calendar.schedule(corrupt_at);
+    };
+    draw_corruption(0);
 
     // The host (ARM) writes the arguments and kicks the root unit.
     // With a fault injector the kick handshake itself may be dropped;
@@ -240,14 +244,14 @@ AcceleratorSim::run(const std::vector<RtValue> &top_args)
 
         // Transient bit flips in queue RAMs: at most one per cycle,
         // landing on a uniformly chosen unit.
-        if (faultInj && faultInj->corruptThisCycle()) {
+        if (cyc == corrupt_at) {
             unsigned sid = faultInj->pick(
                 static_cast<unsigned>(units.size()));
             units[sid]->injectQueueCorruption(cyc, *faultInj);
+            draw_corruption(cyc + 1);
         }
 
-        if (skip_allowed)
-            calendar.advanceTo(cyc); // entries <= cyc settle below
+        calendar.advanceTo(cyc); // entries <= cyc settle below
 
         for (auto &u : units)
             u->tick(cyc);
@@ -287,57 +291,49 @@ AcceleratorSim::run(const std::vector<RtValue> &top_args)
             break;
         }
 
-        // Idle-cycle fast-forward: this cycle was quiet (no progress
-        // event), so the next state change can only come from a unit
-        // timer — an in-flight memory response, a fixed-latency op,
-        // an args-RAM transfer, a spawn-backoff deadline. Jump to
-        // the earliest of those instead of spinning. Any unit that
-        // must be ticked every cycle (pending issue-queue work,
-        // per-cycle spawn retries, an unswept block) vetoes the jump
-        // with a zero wake. Capping at the watchdog deadline, the
-        // cycle limit, and the next trace-sample boundary keeps
-        // failures and observability streams byte-identical to the
-        // unskipped simulation; stall spans reach sinks as one event
-        // each (see accountSkipped()).
-        if (skip_allowed && rootSpawned && last_progress_cycle != cyc) {
-            // Sleeping tiles are excluded from the unit rescan below;
-            // the calendar holds their wake bounds (kNone == kNoWake,
-            // so an empty calendar is neutral).
+        // Fast-forward: after a quiet cycle (no progress event) with
+        // every tile asleep, only a timer can change the machine's
+        // state, and the calendar holds all of them — sleeping
+        // tiles' wake bounds, ready-queue heads' args-RAM
+        // completions, the next queue-corruption arrival. (A
+        // dispatchable head waits on tile capacity, which only an
+        // awake tile can free; a frozen tile stays awake.) Jump to
+        // the earliest instead of spinning. Capping at the watchdog
+        // deadline, the cycle limit, and the next trace-sample
+        // boundary keeps failures and observability streams
+        // byte-identical to the unskipped simulation; each sleeping
+        // tile settles its own part of the span when it wakes.
+        if (awakeTiles == 0 && rootSpawned &&
+            last_progress_cycle != cyc) {
             uint64_t wake = calendar.nextEventAt();
-            bool can_skip = true;
-            for (auto &u : units) {
-                uint64_t w = u->nextWake(cyc);
-                if (w == 0) {
-                    can_skip = false;
-                    break;
-                }
-                wake = std::min(wake, w);
-            }
-            if (can_skip) {
+            wake = std::min(wake,
+                            last_progress_cycle + watchdogCycles + 1);
+            wake = std::min(wake, maxCycles + 1);
+            // Land exactly on lifecycle boundaries: the cycle
+            // deadline must fire at its cycle, and a checkpoint
+            // boundary should not be overshot. Neither cap binds
+            // unless the boundary is inside the skip span, so a
+            // non-firing deadline keeps the run byte-identical.
+            if (deadlineCycles)
+                wake = std::min(wake, deadlineCycles);
+            if (next_ckpt)
+                wake = std::min(wake, next_ckpt);
+            if (hasSinks) {
                 wake = std::min(
-                    wake, last_progress_cycle + watchdogCycles + 1);
-                wake = std::min(wake, maxCycles + 1);
-                // Land exactly on lifecycle boundaries: the cycle
-                // deadline must fire at its cycle, and a checkpoint
-                // boundary should not be overshot. Neither cap binds
-                // unless the boundary is inside the skip span, so a
-                // non-firing deadline keeps the run byte-identical.
-                if (deadlineCycles)
-                    wake = std::min(wake, deadlineCycles);
-                if (next_ckpt)
-                    wake = std::min(wake, next_ckpt);
-                if (hasSinks) {
-                    wake = std::min(
-                        wake,
-                        (cyc / sampleInterval + 1) * sampleInterval);
+                    wake, (cyc / sampleInterval + 1) * sampleInterval);
+            }
+            if (wake > cyc + 1) {
+                uint64_t skipped = wake - cyc - 1;
+                // A skipped cycle fires and dispatches nothing, so
+                // it classifies exactly like this quiet cycle.
+                if (prof) {
+                    for (auto &u : units) {
+                        prof->note(u->task().sid(),
+                                   u->classifyCycle(false), skipped);
+                    }
                 }
-                if (wake > cyc + 1) {
-                    uint64_t skipped = wake - cyc - 1;
-                    for (auto &u : units)
-                        u->accountSkipped(skipped, cyc);
-                    cyclesSkipped += skipped;
-                    cyc = wake - 1; // for-loop ++ lands on `wake`
-                }
+                cyclesSkipped += skipped;
+                cyc = wake - 1; // for-loop ++ lands on `wake`
             }
         }
     }

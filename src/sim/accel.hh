@@ -107,6 +107,9 @@ struct Tile
     /** Injected transient freeze: no firing until this cycle. */
     uint64_t stuckUntil = 0;
 
+    /** Cycle of the next drawn freeze (FaultInjector::kNever: none). */
+    uint64_t nextStickAt = ~0ull;
+
     /** Forget all firing history (start of a run()). */
     void
     resetFiring()
@@ -176,28 +179,27 @@ class InstanceExec
     }
 
     /**
-     * Idle-skip wake computation: the earliest future cycle at which
-     * this instance's internal timers can change its state, assuming
-     * the current cycle made no progress anywhere.
+     * Tile-sleep wake computation: the earliest future cycle at
+     * which this instance's internal timers can change its state,
+     * assuming the current cycle made no progress on its tile.
      *
      * Returns 0 when the instance must be ticked next cycle (a block
-     * not yet swept, a spawn re-presenting under back-pressure, an
-     * unissued memory request, a delivered-but-unconsumed call
-     * result), or kNoWake when it holds no timer at all (blocked
-     * purely on external progress — a sync join or call return,
-     * which the unit owning the child provides at its own wake).
+     * not yet swept, a spawn re-presenting after a dropped
+     * handshake, a delivered-but-unconsumed call result), or kNoWake
+     * when it holds no timer at all (blocked purely on external
+     * progress — a sync join or call return, which pokes the tile —
+     * or on an unissued memory request, which DataBox::stallWake
+     * governs).
      *
-     * With `spawn_waits` non-null, a spawn re-presenting under
-     * ordinary back-pressure (no drop streak, rejected this very
-     * cycle) pushes its target task sid there instead of vetoing:
-     * the caller may sleep the tile as a registered spawn-waiter,
-     * provided the target queue is full and pokes it on every entry
-     * free (see TaskUnit::pokeSpawnWaiters).
+     * A spawn re-presenting under ordinary back-pressure (no drop
+     * streak, rejected this very cycle) pushes its target task sid
+     * onto `spawn_waits` instead of vetoing: the caller may sleep the
+     * tile as a registered spawn-waiter, provided the target queue is
+     * full and pokes it on every entry free (see
+     * TaskUnit::pokeSpawnWaiters).
      */
     uint64_t nextWake(uint64_t now, const DataBox &box,
-                      bool allow_bulk,
-                      std::vector<unsigned> *spawn_waits
-                      = nullptr) const;
+                      std::vector<unsigned> &spawn_waits) const;
 
     /** nextWake() sentinel: no internal timer. */
     static constexpr uint64_t kNoWake = ~0ull;
@@ -245,7 +247,7 @@ class InstanceExec
         /**
          * Set by enterBlock(), cleared by step()'s first sweep over
          * the new block. A fresh block's nodes are fireable without
-         * any timer expiring, so idle-skip must not engage while one
+         * any timer expiring, so its tile must not sleep while one
          * exists (nextWake() returns 0).
          */
         bool fresh = true;
@@ -463,33 +465,10 @@ class TaskUnit
     unsigned occupancy() const { return occupied; }
 
     /**
-     * Idle-skip wake computation over the whole unit: the earliest
-     * future cycle at which a dispatch or an on-tile instance timer
-     * can make progress, assuming the current cycle was quiet. 0
-     * means the unit must be ticked every cycle (pending issue-queue
-     * work, a dispatchable entry, a spawn under back-pressure);
-     * InstanceExec::kNoWake means the unit holds no timers.
+     * Start of a run(): zero the tiles' firing stamps and freezes,
+     * draw each tile's first freeze arrival, and wake every tile.
      */
-    uint64_t nextWake(uint64_t now) const;
-
-    /**
-     * Account `n` skipped quiet cycles: per-tile busy-cycle counters
-     * and (when a profiler is attached) bulk cycle attribution in the
-     * same bucket profileCycle() would have picked each cycle, so the
-     * "buckets sum to cycles x units" invariant survives skipping.
-     */
-    void accountSkipped(uint64_t n, uint64_t base);
-
-    /** Zero the tiles' firing stamps (start of a run()). */
-    void
-    resetFiring()
-    {
-        for (auto &t : tiles)
-            t->resetFiring();
-        spawnRejectCycle = ~0ull;
-        spawnRejectsThisCycle = 0;
-        resetSleep();
-    }
+    void resetFiring();
 
     /** Wake every sleeping tile without settling (start of a run). */
     void
@@ -607,10 +586,19 @@ class TaskUnit
     bool verifyEntryChecksum(unsigned slot, uint64_t now);
 
     void dispatch(uint64_t now);
+
+    /**
+     * The ready-queue head is the only entry dispatch() looks at, so
+     * its args-RAM completion is this unit's one timer: put it on the
+     * wakeup calendar whenever a spawn or a replay sets it or the
+     * head changes, so a fast-forward lands on it.
+     */
+    void scheduleHeadReady(uint64_t now);
+
     void retire(unsigned slot, uint64_t now);
     void detachFromTile(unsigned slot);
 
-    // --- event-scheduler tile sleep ------------------------------------
+    // --- tile sleep ----------------------------------------------------
 
     /**
      * Earliest future cycle at which the given (quiet this cycle)
@@ -666,10 +654,8 @@ class TaskUnit
      * retrying-node count). Each registered target pokes the tile
      * whenever one of its queue entries frees — the only event that
      * can turn the repeating queue-full rejection into an accept.
-     * Also pulls this tile's rejects back out of the targets' skip
-     * witnesses: from now on the settle credit accounts them.
      */
-    void registerSpawnWaits(unsigned t, uint64_t now);
+    void registerSpawnWaits(unsigned t);
 
     /**
      * An entry of THIS unit's queue just freed (retire): wake every
@@ -707,9 +693,6 @@ class TaskUnit
     /** Lifetime tile-cycles settled from sleep spans (diagnostic). */
     uint64_t tileSlept = 0;
 
-    /** May tick() put quiet tiles to sleep? (set by run()) */
-    bool tileSleep = false;
-
     /**
      * Where this cycle's tile loop currently stands: tick() stamps
      * tickCycle on entry and tickTilePos before processing each tile
@@ -724,9 +707,10 @@ class TaskUnit
     void profileCycle();
 
     /**
-     * Shared classification core of profileCycle()/accountSkipped():
-     * which bucket does this unit's current state land in, given
-     * whether any token fired? Quiet (skipped) cycles pass false.
+     * Shared classification core of profileCycle() and run()'s
+     * fast-forward: which bucket does this unit's current state land
+     * in, given whether any token fired? Quiet (skipped) cycles pass
+     * false.
      */
     obs::CycleBucket classifyCycle(bool fired_any) const;
 
@@ -743,13 +727,6 @@ class TaskUnit
     std::deque<unsigned> readyQueue;
     bool spawnAcceptedThisCycle = false;
     bool dispatchedThisCycle = false;
-
-    // Stall-span witness for the idle-cycle fast-forward: how many
-    // spawns this unit rejected queue-full in the current cycle.
-    // Each corresponds to a spawner re-presenting every cycle, so a
-    // skipped span multiplies them (see accountSkipped()).
-    uint64_t spawnRejectCycle = ~0ull;
-    unsigned spawnRejectsThisCycle = 0;
 
     /** Entries not Free, maintained at spawn/retire (O(1) queries). */
     unsigned occupied = 0;
@@ -837,9 +814,10 @@ class AcceleratorSim
                         ir::RtValue v, uint64_t now);
 
     /**
-     * Record a known-future tile wake in the calendar (event
-     * scheduler). Hints only: a stale or early entry costs one
-     * processed quiet cycle, never correctness.
+     * Record a known-future timer in the calendar: a sleeping tile's
+     * wake bound or a ready-queue head's args-RAM completion. Hints
+     * only: a stale or early entry costs one processed quiet cycle,
+     * never correctness.
      */
     void
     scheduleWake(uint64_t cycle)
@@ -1083,9 +1061,8 @@ class AcceleratorSim
 
     /**
      * Tile-cycles the last run() covered with per-tile sleep spans
-     * (summed over units; 0 when a fault rate kept every tile
-     * awake). Diagnostic only — never folded into stats or
-     * RunResult.
+     * (summed over units). Diagnostic only — never folded into stats
+     * or RunResult.
      */
     uint64_t tileSleptCycles() const
     {
@@ -1117,8 +1094,15 @@ class AcceleratorSim
     uint64_t _cycles = 0;
     uint64_t cyclesSkipped = 0;
 
-    /** Future tile wakes of sleeping tiles; reset each run(). */
+    /**
+     * Every timer that can end a quiet span: sleeping tiles' wake
+     * bounds, ready-queue heads' args-RAM completions and the next
+     * queue-corruption arrival; reset each run().
+     */
     WakeupCalendar calendar;
+
+    /** Tiles not asleep, over all units (0 enables fast-forward). */
+    size_t awakeTiles = 0;
     uint64_t progressEvents = 0;
     std::vector<obs::TraceSink *> sinks;
     bool hasSinks = false; ///< cached !sinks.empty() for emit paths
@@ -1128,6 +1112,8 @@ class AcceleratorSim
     SimFailure failure_;
     bool rootFinished = false;
     ir::RtValue rootValue;
+
+    friend class TaskUnit; // keeps awakeTiles as tiles sleep and wake
 };
 
 } // namespace tapas::sim

@@ -5,11 +5,13 @@
  *
  * AcceleratorSim::run() puts a tile to sleep when its next possible
  * state change is provably in the future (an in-flight memory
- * response, a fixed-latency op, an MSHR-retire bound) and records
- * that cycle here. The top-level cycle loop then uses the calendar's
- * earliest entry as the fast-forward target when every tile is
- * asleep, instead of re-deriving wake bounds from scratch each quiet
- * cycle.
+ * response, a fixed-latency op, an MSHR-retire bound, a drawn tile
+ * freeze) and records that cycle here, next to the units' own timers
+ * (a ready-queue head's args-RAM completion) and the next drawn
+ * queue corruption. The top-level cycle loop then uses the
+ * calendar's earliest entry as the fast-forward target when every
+ * tile is asleep; nothing else bounds the jump but the run's
+ * lifecycle caps.
  *
  * Entries are *conservative hints with lazy deletion*: a tile woken
  * early by an external poke (a dispatch, a child join, a call

@@ -53,6 +53,22 @@ DataBox::poll(MemTicket ticket, uint64_t now)
     return true;
 }
 
+uint64_t
+DataBox::lostResponseWake() const
+{
+    FaultInjector *inj = cache.faultInjector();
+    if (!inj)
+        return ~0ull;
+    uint64_t wake = ~0ull;
+    for (const Entry &e : entries) {
+        if (e.busy && e.issued && e.completesAt == kLostResponse) {
+            wake = std::min(
+                wake, e.issuedAt + inj->config().memTimeoutCycles);
+        }
+    }
+    return wake;
+}
+
 void
 DataBox::tick(uint64_t now)
 {

@@ -11,6 +11,7 @@
 #ifndef TAPAS_SIM_DATABOX_HH
 #define TAPAS_SIM_DATABOX_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -56,33 +57,36 @@ class DataBox
     unsigned occupancy() const { return occupied; }
 
     /**
-     * Idle-skip constraint from this box, evaluated at the end of a
+     * Tile-sleep constraint from this box, evaluated at the end of a
      * quiet cycle `now`:
      *
-     *   0        must be ticked next cycle (veto any skip)
+     *   0        must be ticked next cycle (veto sleep)
      *   ~0       no constraint
      *   other    earliest cycle this box's state can change
      *
-     * An empty issue queue poses no constraint — in-flight responses
-     * are timed by their polling dataflow nodes, and staging-full
-     * submit retries are bulk-accounted by accountSkipped(). A
-     * non-empty queue is skippable only when this cycle's head
-     * attempt was rejected for MSHR exhaustion and no MSHR was
-     * allocated this cycle: that reject then provably repeats every
-     * cycle (no accepts anywhere during a quiet span, so the cache's
-     * line/MSHR state is frozen) until the earliest MSHR retires,
-     * which is the returned wake.
+     * In-flight responses are timed by their polling dataflow nodes,
+     * and staging-full submit retries are bulk-accounted by
+     * accountSkipped(), so an empty issue queue constrains only
+     * through lost responses: each one is reissued by the watchdog
+     * at issuedAt + memTimeoutCycles, and the earliest of those is
+     * the wake. A non-empty queue is skippable only when this
+     * cycle's head attempt was rejected for MSHR exhaustion and no
+     * MSHR was allocated this cycle: that reject then provably
+     * repeats every cycle (no accepts anywhere during a quiet span,
+     * so the cache's line/MSHR state is frozen) until the earliest
+     * MSHR retires, which bounds the wake too.
      */
     uint64_t
     stallWake(uint64_t now) const
     {
+        const uint64_t lost = lostResponseWake();
         if (issueQueue.empty())
-            return ~0ull;
+            return lost;
         if (headRejectCycle != now || !headRejectMshrFull ||
             cache.lastMshrAllocCycle() == now) {
             return 0;
         }
-        return cache.nextMshrRetireAt();
+        return std::min(lost, cache.nextMshrRetireAt());
     }
 
     /**
@@ -125,7 +129,7 @@ class DataBox
 
     /**
      * Completion cycle of an in-flight ticket, or 0 while it is
-     * still waiting to issue (idle-skip wake computation; only
+     * still waiting to issue (tile-sleep wake computation; only
      * meaningful for a busy ticket).
      */
     uint64_t
@@ -147,6 +151,12 @@ class DataBox
   private:
     /** completesAt of a response an injected fault swallowed. */
     static constexpr uint64_t kLostResponse = ~0ull;
+
+    /**
+     * Earliest cycle the lost-response watchdog reissues a swallowed
+     * request, or ~0 when none is lost (always, without an injector).
+     */
+    uint64_t lostResponseWake() const;
 
     struct Entry
     {

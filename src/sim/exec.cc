@@ -428,8 +428,7 @@ InstanceExec::pushLeafFrame(const ir::CallInst *call)
 
 uint64_t
 InstanceExec::nextWake(uint64_t now, const DataBox &box,
-                       bool allow_bulk,
-                       std::vector<unsigned> *spawn_waits) const
+                       std::vector<unsigned> &spawn_waits) const
 {
     uint64_t wake = kNoWake;
     for (size_t fi = 0; fi < nFrames; ++fi) {
@@ -463,22 +462,12 @@ InstanceExec::nextWake(uint64_t now, const DataBox &box,
                 // very cycle, no drop streak) must tick per cycle.
                 if (st.spawnDropStreak > 0 || st.nextRetryAt != now)
                     return 0;
-                // Re-presents next cycle. Rejected by a full target
-                // queue, the rejection provably repeats each quiet
-                // cycle — entries are freed only by timed
-                // completions, which bound the skip globally — and
-                // the target unit bulk-accounts the rejects.
-                if (allow_bulk)
-                    break;
-                // Per-tile sleep: the target's frees are not
-                // tile-locally boundable, but each free is an
+                // Re-presents next cycle. The target's frees are
+                // not tile-locally boundable, but each free is an
                 // observable event — report the target sid so the
                 // tile can sleep as a registered spawn-waiter
-                // (poked on every entry free), or veto if the
-                // caller cannot register waits.
-                if (!spawn_waits)
-                    return 0;
-                spawn_waits->push_back(
+                // (poked on every entry free).
+                spawn_waits.push_back(
                     spawnTarget(opAt(frame, i)).sid());
                 break;
               }
@@ -527,7 +516,7 @@ InstanceExec::step(uint64_t now, Tile &tile)
     }
 
     // This sweep gives every node of the block its firing chance, so
-    // the block no longer blocks idle-skip (see Frame::fresh).
+    // the block no longer keeps its tile awake (see Frame::fresh).
     frame.fresh = false;
 
     const MicroOp *ops = frame.lf->ops.data() + frame.lbb->opBegin;

@@ -7,8 +7,9 @@
  * faults a deployed TAPAS accelerator would have to survive:
  *
  *  - dropped spawn handshakes at the spawn ports (a corrupted
- *    ready/valid pulse): the spawner's retry logic re-presents the
- *    spawn with bounded exponential backoff;
+ *    ready/valid pulse on a handshake the port would accept): the
+ *    spawner's retry logic re-presents the spawn with bounded
+ *    exponential backoff;
  *  - task-queue entry corruption (a bit flip in the queue BRAM):
  *    every queue entry carries a checksum over its marshaled
  *    arguments — the hardware analogue is ECC on the Ntasks RAM —
@@ -21,11 +22,19 @@
  *  - transiently stuck TXU tiles (a frozen pipeline stage): the tile
  *    stops firing for a bounded number of cycles and then resumes.
  *
- * All draws come from one explicitly seeded support/rng.hh generator
- * consumed in simulation order, so a (seed, config) pair produces a
- * bit-identical fault schedule on every run. A zero rate for a
- * category consumes no randomness at all, so an attached injector
- * with all rates at zero perturbs nothing (tests pin this).
+ * Each of the five categories draws from its own support/rng.hh
+ * sub-stream, seeded from FaultConfig::seed, so a (seed, config) pair
+ * produces a bit-identical fault schedule on every run, and how many
+ * draws one category makes never shifts another's. Spawn drops and
+ * memory drops/delays are drawn per event. The two per-cycle
+ * categories, queue corruption and tile freezes, are drawn as
+ * geometric inter-arrival times: the simulator asks for the next
+ * arrival cycle and keeps it as a timer (the wakeup calendar for
+ * queue corruption, the tile's sleep bound for a freeze), so cycles
+ * it fast-forwards over cannot move a draw. A zero rate for a
+ * category consumes no randomness at all and schedules no arrival,
+ * so an attached injector with all rates at zero perturbs nothing
+ * (tests pin this).
  *
  * Alongside injection, SimFailure turns what used to be process
  * aborts (watchdog deadlock, cycle-limit overrun, exhausted retry
@@ -37,6 +46,7 @@
 #ifndef TAPAS_SIM_FAULT_HH
 #define TAPAS_SIM_FAULT_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -74,7 +84,10 @@ struct FaultConfig
     /** Seed for the fault schedule (same seed = same schedule). */
     uint64_t seed = 0x7a7a5u;
 
-    /** Probability a spawn-port handshake is dropped, per attempt. */
+    /**
+     * Probability a spawn-port handshake is dropped, per handshake
+     * the port would accept (a rejected spawn completes none).
+     */
     double spawnDropRate = 0;
 
     /** Probability of a queue-RAM bit flip, per cycle. */
@@ -86,7 +99,7 @@ struct FaultConfig
     /** Probability an accepted memory response is late, per access. */
     double memDelayRate = 0;
 
-    /** Probability a tile pipeline freezes, per tile per cycle. */
+    /** Probability a tile freezes, per tile per unfrozen cycle. */
     double tileStuckRate = 0;
 
     /** Extra cycles a delayed memory response takes. */
@@ -138,24 +151,30 @@ struct FaultConfig
 class FaultInjector
 {
   public:
-    explicit FaultInjector(const FaultConfig &config)
-        : cfg(config), rng(config.seed)
-    {}
+    explicit FaultInjector(const FaultConfig &config);
 
     const FaultConfig &config() const { return cfg; }
+
+    /** Arrival-cycle sentinel: a zero-rate category never fires. */
+    static constexpr uint64_t kNever = ~0ull;
 
     /** Drop this spawn handshake? (counts on true) */
     bool
     dropSpawn()
     {
-        if (!draw(cfg.spawnDropRate))
+        if (!draw(Stream::SpawnDrop, cfg.spawnDropRate))
             return false;
         ++spawnDrops;
         return true;
     }
 
-    /** Flip a queue-RAM bit somewhere this cycle? */
-    bool corruptThisCycle() { return draw(cfg.queueCorruptRate); }
+    /** First cycle at or after `from` with a queue-RAM bit flip. */
+    uint64_t
+    nextCorruptionFrom(uint64_t from)
+    {
+        return arrival(Stream::QueueCorrupt, cfg.queueCorruptRate,
+                       from);
+    }
 
     /** What happens to this accepted memory response? */
     enum class MemFault : uint8_t { None, Delay, Drop };
@@ -163,35 +182,41 @@ class FaultInjector
     MemFault
     memFault()
     {
-        if (draw(cfg.memDropRate)) {
+        if (draw(Stream::MemDrop, cfg.memDropRate)) {
             ++memDrops;
             return MemFault::Drop;
         }
-        if (draw(cfg.memDelayRate)) {
+        if (draw(Stream::MemDelay, cfg.memDelayRate)) {
             ++memDelays;
             return MemFault::Delay;
         }
         return MemFault::None;
     }
 
-    /** Freeze this tile? (counts on true) */
-    bool
-    stickTile()
+    /**
+     * First cycle at or after `from` at which a running tile
+     * freezes. One sub-stream serves every tile, drawn in simulation
+     * order.
+     */
+    uint64_t
+    nextStickFrom(uint64_t from)
     {
-        if (!draw(cfg.tileStuckRate))
-            return false;
-        ++tileStalls;
-        return true;
+        return arrival(Stream::TileStuck, cfg.tileStuckRate, from);
     }
 
-    /** Uniform pick in [0, bound) for fault targeting. */
-    uint64_t pick(uint64_t bound) { return rng.below(bound); }
+    /** Uniform pick in [0, bound) for queue-corruption targeting. */
+    uint64_t
+    pick(uint64_t bound)
+    {
+        return rng(Stream::QueueCorrupt).below(bound);
+    }
 
     /** Nonzero 32-bit corruption mask (the bits that flipped). */
     uint32_t
     corruptionMask()
     {
-        uint32_t m = static_cast<uint32_t>(rng.next());
+        uint32_t m =
+            static_cast<uint32_t>(rng(Stream::QueueCorrupt).next());
         return m ? m : 1u;
     }
 
@@ -232,11 +257,30 @@ class FaultInjector
                         "memory requests reissued after timeout"};
 
   private:
+    /** One seeded sub-stream per fault category. */
+    enum class Stream : uint8_t {
+        SpawnDrop,
+        QueueCorrupt,
+        MemDrop,
+        MemDelay,
+        TileStuck,
+    };
+
+    Rng &rng(Stream s) { return streams[static_cast<size_t>(s)]; }
+
     /** Bernoulli draw; a zero rate consumes no randomness. */
-    bool draw(double p) { return p > 0 && rng.chance(p); }
+    bool draw(Stream s, double p) { return p > 0 && rng(s).chance(p); }
+
+    /**
+     * Geometric inter-arrival draw: the first cycle at or after
+     * `from` on which a per-cycle Bernoulli(p) trial succeeds. Rate 1
+     * fires at `from`; a zero rate consumes no randomness and
+     * returns kNever.
+     */
+    uint64_t arrival(Stream s, double p, uint64_t from);
 
     FaultConfig cfg;
-    Rng rng;
+    std::array<Rng, 5> streams;
 };
 
 } // namespace tapas::sim

@@ -36,8 +36,8 @@ struct CacheResult
     /**
      * Set on rejection when the cause was MSHR exhaustion (vs port
      * contention). An MSHR-full reject repeats identically every
-     * cycle until an MSHR retires, which is what lets the idle-skip
-     * fast-forward stall spans (see DataBox::stallWake).
+     * cycle until an MSHR retires, which is what lets a tile sleep
+     * through the stall span (see DataBox::stallWake).
      */
     bool mshrFull = false;
 
@@ -126,7 +126,7 @@ class SharedCache
 
     /**
      * Earliest cycle at which a busy MSHR retires (its fill lands
-     * and beginCycle frees it), or ~0 when none are busy. Idle-skip
+     * and beginCycle frees it), or ~0 when none are busy. Tile-sleep
      * wake bound for MSHR-full stall spans.
      */
     uint64_t

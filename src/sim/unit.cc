@@ -37,13 +37,7 @@ SpawnOutcome
 TaskUnit::trySpawn(const std::vector<RtValue> &args, TaskRef parent,
                    const ir::CallInst *caller_site, uint64_t now)
 {
-    // An injected fault may eat the ready/valid handshake before the
-    // port even arbitrates it; the spawner backs off and retries.
     FaultInjector *inj = sim.faultInjector();
-    if (inj && inj->dropSpawn()) {
-        sim.emitFault(now, "spawn_drop", _task.sid());
-        return SpawnOutcome::Dropped;
-    }
     if (spawnAcceptedThisCycle) {
         ++spawnRejects;
         sim.emitSpawnReject(now, _task.sid(), /*queue_full=*/false);
@@ -53,6 +47,15 @@ TaskUnit::trySpawn(const std::vector<RtValue> &args, TaskRef parent,
         QueueEntry &e = entries[slot];
         if (e.state != EntryState::Free)
             continue;
+        // An injected fault may eat the ready/valid handshake the
+        // port was about to complete; the spawner backs off and
+        // retries. A rejected spawn completes no handshake, so there
+        // is nothing to drop: a spawner sleeping against a full
+        // queue misses no draw.
+        if (inj && inj->dropSpawn()) {
+            sim.emitFault(now, "spawn_drop", _task.sid());
+            return SpawnOutcome::Dropped;
+        }
         spawnAcceptedThisCycle = true;
         e.state = EntryState::Ready;
         e.parent = parent;
@@ -80,6 +83,7 @@ TaskUnit::trySpawn(const std::vector<RtValue> &args, TaskRef parent,
         }
         e.exec->start(args);
         readyQueue.push_back(slot);
+        scheduleHeadReady(now);
         ++occupied;
         ++spawnsAccepted;
         sim.emitSpawn(now, _task.sid(), slot, parent);
@@ -87,11 +91,6 @@ TaskUnit::trySpawn(const std::vector<RtValue> &args, TaskRef parent,
         return SpawnOutcome::Accepted;
     }
     ++spawnRejects;
-    if (spawnRejectCycle != now) {
-        spawnRejectCycle = now;
-        spawnRejectsThisCycle = 0;
-    }
-    ++spawnRejectsThisCycle;
     sim.emitSpawnReject(now, _task.sid(), /*queue_full=*/true);
     return SpawnOutcome::Rejected;
 }
@@ -166,6 +165,7 @@ TaskUnit::verifyEntryChecksum(unsigned slot, uint64_t now)
                     sim.params().spawnCyclesPerArg;
     readyQueue.pop_front();
     readyQueue.push_back(slot);
+    scheduleHeadReady(now);
     sim.progressEvent();
     return false;
 }
@@ -180,26 +180,59 @@ TaskUnit::stateCounts() const
 }
 
 void
+TaskUnit::resetFiring()
+{
+    FaultInjector *inj = sim.faultInjector();
+    for (auto &t : tiles) {
+        t->resetFiring();
+        t->stuckUntil = 0;
+        t->nextStickAt = inj ? inj->nextStickFrom(0)
+                             : FaultInjector::kNever;
+    }
+    resetSleep();
+}
+
+void
+TaskUnit::scheduleHeadReady(uint64_t now)
+{
+    if (readyQueue.empty())
+        return;
+    const uint64_t at = entries[readyQueue.front()].readyAt;
+    if (at > now)
+        sim.scheduleWake(at);
+}
+
+void
 TaskUnit::beginCycle(uint64_t now)
 {
     spawnAcceptedThisCycle = false;
     dispatchedThisCycle = false;
     // The firing marks are generation-stamped by cycle, so there is
-    // nothing to clear per cycle — only the fired_any tally resets.
-    // A sleeping tile's tally is already 0 (it slept off a quiet
-    // cycle and cannot fire while asleep), so clearing only awake
-    // tiles keeps this O(awake tiles), not O(tiles).
+    // nothing to clear per cycle — only the fired_any tally resets,
+    // and only on awake tiles: a sleeping tile's tally is already 0
+    // (it slept off a quiet cycle and cannot fire while asleep). The
+    // loop still visits every tile.
     for (size_t ti = 0; ti < tiles.size(); ++ti) {
         if (tileSleepUntil[ti] == 0)
             tiles[ti]->firedThisCycle = 0;
     }
-    if (FaultInjector *inj = sim.faultInjector()) {
-        for (auto &t : tiles) {
-            if (now >= t->stuckUntil && inj->stickTile()) {
-                t->stuckUntil = now + inj->config().tileStuckCycles;
-                sim.emitFault(now, "tile_stuck", _task.sid());
-            }
-        }
+    FaultInjector *inj = sim.faultInjector();
+    if (!inj)
+        return;
+    // Tile freezes arrive at each tile's drawn cycle. A sleeping
+    // tile's wake bound includes that cycle (tileWake), so the tile
+    // is due now and settles in tick() before taking the freeze.
+    for (size_t ti = 0; ti < tiles.size(); ++ti) {
+        Tile &t = *tiles[ti];
+        if (now < t.nextStickAt)
+            continue;
+        tapas_assert(tileSleepUntil[ti] == 0 ||
+                         tileSleepUntil[ti] == now,
+                     "tile slept past its freeze");
+        t.stuckUntil = now + inj->config().tileStuckCycles;
+        t.nextStickAt = inj->nextStickFrom(t.stuckUntil);
+        ++inj->tileStalls;
+        sim.emitFault(now, "tile_stuck", _task.sid());
     }
 }
 
@@ -239,6 +272,7 @@ TaskUnit::dispatch(uint64_t now)
     wakeTileForPoke(static_cast<unsigned>(best), now);
 
     readyQueue.pop_front();
+    scheduleHeadReady(now);
     e.state = EntryState::Exe;
     e.residMem = 0;
     e.residSpawn = 0;
@@ -392,19 +426,19 @@ TaskUnit::tick(uint64_t now)
         // quiet cycle (no firing, no progress event from its
         // instances) may sleep until its earliest internal timer.
         // The fired/progress gate is only a cheap pre-filter;
-        // correctness rests on tileWake()'s veto logic.
-        if (tileSleep && tile.firedThisCycle == 0 &&
-            now >= tile.stuckUntil &&
+        // correctness rests on tileWake()'s veto logic. A frozen
+        // tile never gets here: it stays awake until it thaws.
+        if (tile.firedThisCycle == 0 &&
             sim.progressCount() == progressBefore) {
             uint64_t w = tileWake(tile, now);
             if (w > now + 1) {
                 tileSleepUntil[ti] = w;
                 tileSleepBase[ti] = now;
+                --sim.awakeTiles;
                 if (w != InstanceExec::kNoWake)
                     sim.scheduleWake(w);
                 if (!waitScratch.empty())
-                    registerSpawnWaits(static_cast<unsigned>(ti),
-                                       now);
+                    registerSpawnWaits(static_cast<unsigned>(ti));
             }
         }
     }
@@ -418,18 +452,19 @@ TaskUnit::tileWake(const Tile &tile, uint64_t now)
     // MSHR-full head reject repeats identically every cycle until an
     // MSHR retires no matter what other tiles do (rejects never
     // allocate, and MSHR-full is classified before port contention).
-    // Spawn retries pass allow_bulk=false but report their targets
-    // into waitScratch instead of vetoing: a retry against a full
-    // queue repeats verbatim until the target frees an entry, and
-    // retire() — the only free site — pokes every registered waiter,
-    // so the span stays exactly bounded.
+    // Spawn retries report their targets into waitScratch instead of
+    // vetoing: a retry against a full queue repeats verbatim until
+    // the target frees an entry, and retire() — the only free site —
+    // pokes every registered waiter, so the span stays exactly
+    // bounded. The tile's next drawn freeze is a timer like any
+    // other.
     waitScratch.clear();
-    uint64_t wake = tile.box.stallWake(now);
+    uint64_t wake = std::min(tile.box.stallWake(now), tile.nextStickAt);
     if (wake == 0)
         return 0;
     for (unsigned slot : tile.active) {
-        uint64_t w = entries[slot].exec->nextWake(
-            now, tile.box, /*allow_bulk=*/false, &waitScratch);
+        uint64_t w =
+            entries[slot].exec->nextWake(now, tile.box, waitScratch);
         if (w == 0)
             return 0;
         wake = std::min(wake, w);
@@ -446,7 +481,7 @@ TaskUnit::tileWake(const Tile &tile, uint64_t now)
 }
 
 void
-TaskUnit::registerSpawnWaits(unsigned t, uint64_t now)
+TaskUnit::registerSpawnWaits(unsigned t)
 {
     auto &waits = tileSpawnWaits[t];
     tapas_assert(waits.empty(), "stale spawn-wait registrations");
@@ -465,26 +500,8 @@ TaskUnit::registerSpawnWaits(unsigned t, uint64_t now)
         if (!found)
             waits.emplace_back(sid, 1u);
     }
-    for (const auto &[tsid, cnt] : waits) {
-        TaskUnit &target = sim.unit(tsid);
-        target.spawnWaiters.emplace_back(this, t);
-        // This tile's rejects this cycle sit in the target's skip
-        // witness iff no accept consumed the spawn port (a reject
-        // with the port free is always queue-full, which stamps the
-        // witness). Their repeats are now the settle credit's job,
-        // so pull them back out — otherwise a global skip engaging
-        // this very cycle would replay them a second time. With an
-        // accept this cycle there was a progress event, so no skip
-        // can replay this cycle's witness and the flavor of our
-        // rejects (port-busy, unstamped) no longer matters.
-        if (!target.spawnAcceptedThisCycle) {
-            tapas_assert(target.spawnRejectCycle == now &&
-                             target.spawnRejectsThisCycle >= cnt,
-                         "spawn-wait registration without matching "
-                         "witness rejects");
-            target.spawnRejectsThisCycle -= cnt;
-        }
-    }
+    for (const auto &[tsid, cnt] : waits)
+        sim.unit(tsid).spawnWaiters.emplace_back(this, t);
 }
 
 void
@@ -542,9 +559,7 @@ TaskUnit::accrueTile(unsigned t, uint64_t upto)
     // Each slept cycle re-presented every retrying node against its
     // (provably still-full) target queue, so the target tallies one
     // queue-full reject per node per cycle — exactly what live
-    // ticking would have counted. The targets' own reject witnesses
-    // only cover live attempts, so this credit never overlaps
-    // accountSkipped()'s replay.
+    // ticking would have counted.
     for (const auto &[tsid, cnt] : tileSpawnWaits[t]) {
         sim.unit(tsid).spawnRejects += n * cnt;
         sim.emitSpawnReject(base + 1, tsid, /*queue_full=*/true,
@@ -572,6 +587,7 @@ TaskUnit::settleTile(unsigned t, uint64_t upto)
     }
     waits.clear();
     tileSleepUntil[t] = 0;
+    ++sim.awakeTiles;
 }
 
 void
@@ -600,8 +616,9 @@ TaskUnit::childJoined(unsigned slot, uint64_t now)
     --e.childCount;
     sim.progressEvent();
     // A join landing on an on-tile parent is an external poke: its
-    // tile holds no timer for it (nextWake treats sync joins as
-    // externally driven), so a sleeping tile must be woken here.
+    // tile holds no timer for it (InstanceExec::nextWake treats sync
+    // joins as externally driven), so a sleeping tile must be woken
+    // here.
     if (e.tile >= 0)
         wakeTileForPoke(static_cast<unsigned>(e.tile), now);
     if (e.childCount == 0 && e.state == EntryState::Sync) {
@@ -639,95 +656,6 @@ TaskUnit::noteChildSpawned(unsigned slot)
     tapas_assert(e.state == EntryState::Exe,
                  "spawn from a non-executing entry");
     ++e.childCount;
-}
-
-uint64_t
-TaskUnit::nextWake(uint64_t now) const
-{
-    uint64_t wake = InstanceExec::kNoWake;
-
-    if (!readyQueue.empty()) {
-        const QueueEntry &e = entries[readyQueue.front()];
-        if (e.readyAt > now) {
-            // Args still streaming in; dispatch becomes possible at
-            // readyAt (a spurious wake if the tiles are full then —
-            // harmless, the tick is a no-op and skip re-engages).
-            wake = std::min(wake, e.readyAt);
-        } else {
-            // Dispatchable now. In a quiet cycle this means every
-            // tile is at capacity, but play it safe: if any tile can
-            // take it next cycle, tick normally.
-            for (const auto &t : tiles) {
-                if (t->active.size() < params.tilePipelineDepth)
-                    return 0;
-            }
-        }
-    }
-
-    for (size_t ti = 0; ti < tiles.size(); ++ti) {
-        const Tile &tile = *tiles[ti];
-        // A sleeping tile is already covered: its timer wake sits in
-        // the calendar, and a poke-only sleeper wakes via the poker,
-        // whose own timers bound the jump.
-        if (tileSleepUntil[ti] != 0)
-            continue;
-        // Unissued requests churn cache/arbiter state every cycle;
-        // a witnessed MSHR-full stall span yields a retire-time
-        // bound instead of a veto (bulk-accounted on skip).
-        uint64_t bw = tile.box.stallWake(now);
-        if (bw == 0)
-            return 0;
-        wake = std::min(wake, bw);
-        if (tile.stuckUntil > now)
-            wake = std::min(wake, tile.stuckUntil);
-        for (unsigned slot : tile.active) {
-            uint64_t w = entries[slot].exec->nextWake(
-                now, tile.box, /*allow_bulk=*/true);
-            if (w == 0)
-                return 0;
-            wake = std::min(wake, w);
-        }
-    }
-    return wake;
-}
-
-void
-TaskUnit::accountSkipped(uint64_t n, uint64_t base)
-{
-    const bool observed = sim.observed();
-    for (size_t ti = 0; ti < tiles.size(); ++ti) {
-        Tile &t = *tiles[ti];
-        // A sleeping tile settles its own span on wake-up; counting
-        // it here too would double-account (the spans overlap).
-        if (tileSleepUntil[ti] != 0)
-            continue;
-        if (!t.active.empty())
-            tileBusyCycles += n;
-        t.box.accountSkipped(base, base + n);
-        // Residency stall attribution over the skipped span: a quiet
-        // span fires nothing and expires no timers, so each on-tile
-        // instance's phase census is the one the per-cycle path would
-        // have seen every skipped cycle. A frozen tile is never
-        // stepped, so it charges nothing.
-        if (observed && t.stuckUntil <= base + 1) {
-            for (unsigned slot : t.active)
-                chargeResidency(entries[slot], n);
-        }
-    }
-    // Spawners rejected queue-full at `base` re-present (and are
-    // re-rejected) once per skipped cycle.
-    if (spawnRejectCycle == base && spawnRejectsThisCycle > 0) {
-        spawnRejects += n * spawnRejectsThisCycle;
-        sim.emitSpawnReject(base + 1, _task.sid(), /*queue_full=*/true,
-                            n * spawnRejectsThisCycle);
-    }
-    if (obs::CycleProfiler *prof = sim.profiler()) {
-        // A skipped cycle fired nothing and dispatched nothing by
-        // construction, so it classifies exactly like the quiet
-        // cycle that triggered the skip.
-        prof->note(_task.sid(), classifyCycle(/*fired_any=*/false),
-                   n);
-    }
 }
 
 obs::CycleBucket

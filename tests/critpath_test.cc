@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 
 #include "driver/engine.hh"
@@ -24,9 +25,12 @@ namespace {
 
 /** Run `w` through the accelerator engine with --explain on. */
 driver::RunResult
-runExplained(workloads::Workload &w)
+runExplained(workloads::Workload &w,
+             std::optional<sim::FaultConfig> fault = std::nullopt)
 {
-    driver::AccelSimEngine engine;
+    driver::AccelSimEngine::Options eo;
+    eo.fault = fault;
+    driver::AccelSimEngine engine(std::move(eo));
     engine.runOptions.explain = true;
     driver::RunResult r = engine.runWorkload(w, 64 << 20);
     EXPECT_TRUE(r.ok()) << w.name;
@@ -57,50 +61,73 @@ whatIfByKey(const obs::BottleneckReport &bn, const std::string &key)
     return none;
 }
 
+/**
+ * The critpath invariants on one run: the path is exactly as long
+ * as the run, and its class attribution partitions it.
+ */
+void
+expectPathCoversRun(const driver::RunResult &r, const std::string &name)
+{
+    ASSERT_TRUE(r.bottleneck.has_value()) << name;
+    const obs::BottleneckReport &bn = *r.bottleneck;
+    ASSERT_TRUE(bn.valid) << name;
+
+    // Invariant (1): the critical path is exactly as long as the
+    // run.
+    EXPECT_EQ(bn.cycles, r.cycles) << name;
+
+    // Invariant (2): the class attribution partitions the path.
+    uint64_t sum = 0;
+    for (unsigned c = 0; c < obs::kNumSegClasses; ++c)
+        sum += bn.classCycles[c];
+    EXPECT_EQ(sum, bn.cycles) << name;
+
+    // The segment list is a gapless, non-overlapping cover of
+    // [0, cycles), coalesced (no adjacent same-class same-unit
+    // pair), and its lengths reproduce the class totals.
+    ASSERT_FALSE(bn.segments.empty()) << name;
+    EXPECT_EQ(bn.segments.front().begin, 0u) << name;
+    EXPECT_EQ(bn.segments.back().end, bn.cycles) << name;
+    uint64_t per_class[obs::kNumSegClasses] = {0, 0, 0, 0};
+    for (size_t i = 0; i < bn.segments.size(); ++i) {
+        const obs::CritSegment &s = bn.segments[i];
+        EXPECT_LT(s.begin, s.end) << name << " seg " << i;
+        if (i) {
+            const obs::CritSegment &p = bn.segments[i - 1];
+            EXPECT_EQ(p.end, s.begin) << name << " seg " << i;
+            EXPECT_FALSE(p.cls == s.cls && p.sid == s.sid)
+                << name << " uncoalesced seg " << i;
+        }
+        per_class[static_cast<unsigned>(s.cls)] += s.length();
+    }
+    for (unsigned c = 0; c < obs::kNumSegClasses; ++c)
+        EXPECT_EQ(per_class[c], bn.classCycles[c]) << name;
+
+    // A real run computes something on its critical path.
+    EXPECT_GT(bn.classOf(obs::SegClass::Compute), 0u) << name;
+}
+
 } // namespace
 
 TEST(CritPath, PathLengthEqualsRunCyclesAndPartitionsExactly)
 {
+    for (auto &w : suite())
+        expectPathCoversRun(runExplained(w), w.name);
+
+    // Faulted runs sleep and skip too, up to each drawn fault
+    // arrival; their path must cover the run just as exactly.
+    double injected = 0;
     for (auto &w : suite()) {
-        driver::RunResult r = runExplained(w);
-        ASSERT_TRUE(r.bottleneck.has_value()) << w.name;
-        const obs::BottleneckReport &bn = *r.bottleneck;
-        ASSERT_TRUE(bn.valid) << w.name;
-
-        // Invariant (1): the critical path is exactly as long as the
-        // run.
-        EXPECT_EQ(bn.cycles, r.cycles) << w.name;
-
-        // Invariant (2): the class attribution partitions the path.
-        uint64_t sum = 0;
-        for (unsigned c = 0; c < obs::kNumSegClasses; ++c)
-            sum += bn.classCycles[c];
-        EXPECT_EQ(sum, bn.cycles) << w.name;
-
-        // The segment list is a gapless, non-overlapping cover of
-        // [0, cycles), coalesced (no adjacent same-class same-unit
-        // pair), and its lengths reproduce the class totals.
-        ASSERT_FALSE(bn.segments.empty()) << w.name;
-        EXPECT_EQ(bn.segments.front().begin, 0u) << w.name;
-        EXPECT_EQ(bn.segments.back().end, bn.cycles) << w.name;
-        uint64_t per_class[obs::kNumSegClasses] = {0, 0, 0, 0};
-        for (size_t i = 0; i < bn.segments.size(); ++i) {
-            const obs::CritSegment &s = bn.segments[i];
-            EXPECT_LT(s.begin, s.end) << w.name << " seg " << i;
-            if (i) {
-                const obs::CritSegment &p = bn.segments[i - 1];
-                EXPECT_EQ(p.end, s.begin) << w.name << " seg " << i;
-                EXPECT_FALSE(p.cls == s.cls && p.sid == s.sid)
-                    << w.name << " uncoalesced seg " << i;
-            }
-            per_class[static_cast<unsigned>(s.cls)] += s.length();
-        }
-        for (unsigned c = 0; c < obs::kNumSegClasses; ++c)
-            EXPECT_EQ(per_class[c], bn.classCycles[c]) << w.name;
-
-        // A real run computes something on its critical path.
-        EXPECT_GT(bn.classOf(obs::SegClass::Compute), 0u) << w.name;
+        driver::RunResult r =
+            runExplained(w, sim::FaultConfig::uniform(1e-3, 0x7a7a5));
+        injected += r.stat("fault.spawn_drops") +
+                    r.stat("fault.queue_corruptions") +
+                    r.stat("fault.mem_drops") +
+                    r.stat("fault.mem_delays") +
+                    r.stat("fault.tile_stalls");
+        expectPathCoversRun(r, w.name + " faulted");
     }
+    EXPECT_GT(injected, 0.0) << "the faulted leg injected nothing";
 }
 
 TEST(CritPath, WhatIfBoundsAreSaneAndMonotone)

@@ -7,7 +7,9 @@
  * structured failure, and engine-level failure plumbing.
  */
 
+#include <algorithm>
 #include <optional>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -73,15 +75,76 @@ TEST(FaultInjector, ZeroRateDrawsConsumeNoRandomness)
     sim::FaultConfig cfg;
     cfg.seed = 7;
     sim::FaultInjector inj(cfg);
-    for (int i = 0; i < 100; ++i) {
+    for (uint64_t i = 0; i < 100; ++i) {
         EXPECT_FALSE(inj.dropSpawn());
-        EXPECT_FALSE(inj.corruptThisCycle());
+        EXPECT_EQ(inj.nextCorruptionFrom(i), sim::FaultInjector::kNever);
         EXPECT_EQ(inj.memFault(), sim::FaultInjector::MemFault::None);
-        EXPECT_FALSE(inj.stickTile());
+        EXPECT_EQ(inj.nextStickFrom(i), sim::FaultInjector::kNever);
     }
-    // The generator was never advanced: it matches a fresh one.
-    Rng fresh(7);
-    EXPECT_EQ(inj.pick(1u << 30), fresh.below(1u << 30));
+    // The queue-corruption stream (which also feeds pick() and the
+    // flip mask) was never advanced: it matches a fresh injector's.
+    sim::FaultInjector fresh(cfg);
+    EXPECT_EQ(inj.pick(1u << 30), fresh.pick(1u << 30));
+    EXPECT_EQ(inj.corruptionMask(), fresh.corruptionMask());
+}
+
+TEST(FaultInjector, RateOneArrivesEveryCycle)
+{
+    sim::FaultConfig cfg;
+    cfg.queueCorruptRate = 1.0;
+    cfg.tileStuckRate = 1.0;
+    sim::FaultInjector inj(cfg);
+    for (uint64_t c = 0; c < 1000; ++c) {
+        EXPECT_EQ(inj.nextCorruptionFrom(c), c);
+        EXPECT_EQ(inj.nextStickFrom(c), c);
+    }
+}
+
+TEST(FaultInjector, MeanInterArrivalIsOneOverRate)
+{
+    for (double p : {0.5, 0.01, 1e-3}) {
+        SCOPED_TRACE(p);
+        sim::FaultConfig cfg;
+        cfg.seed = 0x5eed;
+        cfg.queueCorruptRate = p;
+        sim::FaultInjector inj(cfg);
+        // Chain arrivals the way run() does: the next one is drawn
+        // from the cycle after the last.
+        const int n = 200000;
+        uint64_t at = inj.nextCorruptionFrom(0);
+        const uint64_t first = at;
+        for (int i = 0; i < n; ++i)
+            at = inj.nextCorruptionFrom(at + 1);
+        const double mean = static_cast<double>(at - first) / n;
+        // Geometric: sd of the mean is sqrt(1 - p) / p / sqrt(n),
+        // under 0.23% of 1/p here; allow 1%.
+        EXPECT_NEAR(mean, 1.0 / p, 0.01 / p);
+    }
+}
+
+TEST(FaultInjector, SubStreamsAreIndependentOfOtherRates)
+{
+    // How often one category draws must not shift another's
+    // schedule: the spawn-drop sequence is the same whether queue
+    // corruption is off or drawing heavily in between.
+    auto drops = [](double corrupt_rate) {
+        sim::FaultConfig cfg;
+        cfg.seed = 0xabc;
+        cfg.spawnDropRate = 0.3;
+        cfg.queueCorruptRate = corrupt_rate;
+        sim::FaultInjector inj(cfg);
+        std::vector<bool> seq;
+        for (uint64_t c = 0; c < 500; ++c) {
+            inj.nextCorruptionFrom(c);
+            inj.pick(7);
+            seq.push_back(inj.dropSpawn());
+        }
+        return seq;
+    };
+    const std::vector<bool> base = drops(0.0);
+    EXPECT_EQ(drops(0.2), base);
+    EXPECT_EQ(drops(1.0), base);
+    EXPECT_NE(std::count(base.begin(), base.end(), true), 0);
 }
 
 TEST(FaultRecovery, SpawnDropsRetryWithBackoffAndVerify)

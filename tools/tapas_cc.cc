@@ -40,9 +40,8 @@
  *
  * Tile counts and queue sizes must be >= 1. Observing a run (--trace,
  * --trace-csv, --profile, --explain) never changes its results, and
- * it simulates on the same fast path as a plain run. A nonzero fault
- * rate keeps every tile awake and turns off the idle-cycle skip, so
- * those runs simulate slower.
+ * it simulates on the same fast path as a plain run; so does a run
+ * with a nonzero --fault-rate.
  *
  * Run lifecycle (see DESIGN.md, "Run lifecycle"):
  *   --deadline SEC        wall-clock budget for --run; on expiry the
@@ -173,11 +172,9 @@ usage(const char *argv0)
            "\n"
            "tile counts and queue sizes must be >= 1. Observing a run "
            "never changes its\n"
-           "results or its simulation speed class. A nonzero "
-           "--fault-rate keeps every\n"
-           "tile awake and turns off idle-cycle skipping, so those "
-           "runs are slower to\n"
-           "simulate.\n"
+           "results or its simulation speed class, and a nonzero "
+           "--fault-rate takes the\n"
+           "same fast path.\n"
            "\n"
            "exit codes: 0 ok, 1 error, 2 usage, 3 run/interp "
            "mismatch,\n"
