@@ -37,6 +37,7 @@
 #define TAPAS_SIM_ACCEL_HH
 
 #include <array>
+#include <bit>
 #include <deque>
 #include <functional>
 #include <map>
@@ -65,6 +66,49 @@ enum class SpawnOutcome : uint8_t {
     Accepted, ///< enqueued; the child will run
     Rejected, ///< port busy or queue full; retry next cycle
     Dropped,  ///< injected fault ate the handshake; retry w/ backoff
+};
+
+/**
+ * A set of indices below a fixed bound, one bit each in 64-bit
+ * words: O(1) insert and erase, and an ascending walk that skips 64
+ * absent indices per count-trailing-zeros. A task unit keeps its
+ * free queue slots and the tiles its tick must visit in one.
+ */
+class IndexSet
+{
+  public:
+    /** Resize to indices [0, n), all present. */
+    void
+    fill(size_t n)
+    {
+        words.assign((n + 63) / 64, ~0ull);
+        if (n & 63)
+            words.back() = (1ull << (n & 63)) - 1;
+    }
+
+    void insert(size_t i) { words[i >> 6] |= 1ull << (i & 63); }
+    void erase(size_t i) { words[i >> 6] &= ~(1ull << (i & 63)); }
+
+    /** Smallest member >= `from`, or npos when there is none. */
+    size_t
+    next(size_t from) const
+    {
+        size_t w = from >> 6;
+        if (w >= words.size())
+            return npos;
+        uint64_t bits = words[w] & (~0ull << (from & 63));
+        while (bits == 0) {
+            if (++w == words.size())
+                return npos;
+            bits = words[w];
+        }
+        return (w << 6) + static_cast<size_t>(std::countr_zero(bits));
+    }
+
+    static constexpr size_t npos = ~size_t{0};
+
+  private:
+    std::vector<uint64_t> words;
 };
 
 /** Dynamic task identity: (SID, DyID) of paper Fig. 5. */
@@ -203,6 +247,23 @@ class InstanceExec
 
     /** nextWake() sentinel: no internal timer. */
     static constexpr uint64_t kNoWake = ~0ull;
+
+    /**
+     * Resident parking, read after a step() that returned Running
+     * and emitted no progress event: until this cycle, stepping the
+     * instance again would fire nothing and change nothing. It is
+     * the earliest timer of the top frame (the only frame step()
+     * sweeps) — an Exec node's doneAt or an issued ticket's
+     * completesAt — or kNoWake when it holds neither. 0 when the
+     * instance must step next cycle anyway: a fresh block, a ready
+     * node that could not fire (token clash, staging-full submit)
+     * or a spawn retry.
+     *
+     * The rest of its wakeups come from outside, so the owning unit
+     * delivers them: an unissued ticket's issue (DataBox::issued()),
+     * a dispatch and a task-call return.
+     */
+    uint64_t parkWake() const { return parkAt; }
 
   private:
     enum class Phase : uint8_t {
@@ -388,6 +449,7 @@ class InstanceExec
     bool done = false;
     unsigned memInFlight = 0;
     uint64_t firedNodes = 0;
+    uint64_t parkAt = 0; ///< see parkWake()
 
     /**
      * Nodes of every live frame in Exec, Mem and SpawnRetry (slots
@@ -466,7 +528,8 @@ class TaskUnit
 
     /**
      * Start of a run(): zero the tiles' firing stamps and freezes,
-     * draw each tile's first freeze arrival, and wake every tile.
+     * draw each tile's first freeze arrival, unpark every instance
+     * and wake every tile.
      */
     void resetFiring();
 
@@ -475,6 +538,8 @@ class TaskUnit
     resetSleep()
     {
         tileSleepUntil.assign(tiles.size(), 0);
+        tickSet.fill(tiles.size());
+        nextDue = InstanceExec::kNoWake;
         tileSleepBase.assign(tiles.size(), 0);
         tileSpawnWaits.assign(tiles.size(), {});
         spawnWaiters.clear();
@@ -557,6 +622,14 @@ class TaskUnit
         uint64_t residMem = 0;
         uint64_t residSpawn = 0;
 
+        /**
+         * Resident parking: tick() skips this instance while
+         * parkUntil > now (InstanceExec::parkWake()). A data-box
+         * issue lowers it to the response cycle; a dispatch and a
+         * call return clear it.
+         */
+        uint64_t parkUntil = 0;
+
         // Fault-tolerance state (populated only with an injector):
         // a golden copy of the marshaled arguments, the checksum the
         // queue RAM is supposed to hold (models ECC), and how many
@@ -572,6 +645,22 @@ class TaskUnit
      * trace sink is attached).
      */
     void chargeResidency(QueueEntry &e, uint64_t n);
+
+    /**
+     * Issue-time wake: lower the parkUntil of every instance whose
+     * request tile `t`'s data box just issued to its response cycle
+     * (an unissued ticket holds no timer of its own).
+     */
+    void wakeIssueOwners(unsigned t);
+
+#ifndef NDEBUG
+    /**
+     * Debug audit of a parked resident: step it anyway and assert
+     * that it fired nothing, made no progress, kept running and did
+     * not outlive a timer.
+     */
+    void auditParked(QueueEntry &e, uint64_t now, Tile &tile);
+#endif
 
     /** Checksum over an entry's marshaled arguments (models ECC). */
     static uint32_t argsChecksum(const std::vector<ir::RtValue> &args,
@@ -670,6 +759,31 @@ class TaskUnit
     std::vector<uint64_t> tileSleepBase;
 
     /**
+     * Tiles tick() visits this cycle, in index order: the awake ones
+     * plus sleepers whose timer is due (markDueTiles()). A sleep
+     * removes its tile and a settle adds it back, so pokes during
+     * the walk are seen when the walk re-reads the set.
+     */
+    IndexSet tickSet;
+
+    /**
+     * Lower bound on every sleeping tile's wake cycle (kNoWake:
+     * none): until it passes, no sleeper is due and markDueTiles()
+     * is not needed.
+     */
+    uint64_t nextDue = InstanceExec::kNoWake;
+
+    /** Add every due sleeper to tickSet and recompute nextDue. */
+    void markDueTiles(uint64_t now);
+
+    /**
+     * Earliest drawn freeze over all tiles (FaultInjector::kNever
+     * without an injector): beginCycle() looks at the tiles only
+     * once it has passed.
+     */
+    uint64_t nextStickMin = ~0ull;
+
+    /**
      * Spawn-waiter registry: (unit, tile) pairs — possibly of other
      * units — sleeping on this unit's queue being full. Registered
      * by registerSpawnWaits(), poked by pokeSpawnWaiters(), torn
@@ -723,6 +837,8 @@ class TaskUnit
     arch::FiringIndex fidx;
 
     std::vector<QueueEntry> entries;
+    /** Free entries; trySpawn() takes the lowest. */
+    IndexSet freeSlots;
     std::vector<std::unique_ptr<Tile>> tiles;
     std::deque<unsigned> readyQueue;
     bool spawnAcceptedThisCycle = false;

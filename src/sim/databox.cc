@@ -15,7 +15,7 @@ DataBox::DataBox(SharedCache &cache, unsigned staging_entries,
 
 bool
 DataBox::submit(uint64_t addr, bool is_store, uint64_t now,
-                MemTicket &ticket)
+                unsigned owner, MemTicket &ticket)
 {
     for (MemTicket t = 0; t < entries.size(); ++t) {
         Entry &e = entries[t];
@@ -24,6 +24,7 @@ DataBox::submit(uint64_t addr, bool is_store, uint64_t now,
         e.busy = true;
         e.issued = false;
         e.store = is_store;
+        e.owner = owner;
         e.addr = addr;
         e.completesAt = 0;
         issueQueue.push_back(t);
@@ -72,6 +73,7 @@ DataBox::lostResponseWake() const
 void
 DataBox::tick(uint64_t now)
 {
+    lastIssued.clear();
     unsigned granted = 0;
     while (granted < issueWidth && !issueQueue.empty()) {
         MemTicket t = issueQueue.front();
@@ -87,6 +89,7 @@ DataBox::tick(uint64_t now)
         e.issued = true;
         e.completesAt = res.dropped ? kLostResponse : res.completesAt;
         e.issuedAt = now;
+        lastIssued.push_back({e.owner, e.completesAt});
         issueQueue.pop_front();
         ++granted;
     }

@@ -36,12 +36,13 @@ class DataBox
             unsigned issue_width, std::string stat_name);
 
     /**
-     * Try to accept a request from a dataflow node.
+     * Try to accept a request from a dataflow node of the instance
+     * in queue slot `owner`.
      *
      * @return true and a ticket if a staging entry was free.
      */
     bool submit(uint64_t addr, bool is_store, uint64_t now,
-                MemTicket &ticket);
+                unsigned owner, MemTicket &ticket);
 
     /**
      * Poll a ticket; when complete the ticket is consumed.
@@ -52,6 +53,21 @@ class DataBox
 
     /** Issue queued requests into the cache (call once per cycle). */
     void tick(uint64_t now);
+
+    /** A request the last tick() issued: its owner and completion. */
+    struct Issue
+    {
+        unsigned owner;       ///< queue slot passed to submit()
+        uint64_t completesAt; ///< response cycle (~0: lost)
+    };
+
+    /**
+     * Requests the last tick() issued, first issues and watchdog
+     * reissues alike. An instance parked on an unissued ticket holds
+     * no timer for it, so its unit reads this to wake the owner at
+     * the response cycle.
+     */
+    const std::vector<Issue> &issued() const { return lastIssued; }
 
     /** Entries currently occupied (tests/stats). */
     unsigned occupancy() const { return occupied; }
@@ -163,6 +179,7 @@ class DataBox
         bool busy = false;
         bool issued = false;
         bool store = false;
+        unsigned owner = 0; ///< queue slot of the submitting instance
         uint64_t addr = 0;
         uint64_t completesAt = 0;
         uint64_t issuedAt = 0; ///< for the lost-response watchdog
@@ -171,6 +188,7 @@ class DataBox
     SharedCache &cache;
     std::vector<Entry> entries;
     std::deque<MemTicket> issueQueue;
+    std::vector<Issue> lastIssued;
     unsigned issueWidth;
     unsigned occupied = 0;
 

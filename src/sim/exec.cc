@@ -291,7 +291,7 @@ InstanceExec::fire(Frame &frame, size_t idx, const MicroOp &mop,
       case MicroKind::Load: {
         uint64_t addr = evalRef(frame, oprs[0]).ptr();
         MemTicket ticket;
-        if (!tile.box.submit(addr, false, now, ticket)) {
+        if (!tile.box.submit(addr, false, now, self.slot, ticket)) {
             mark = 0; // no structural issue happened
             --tile.firedThisCycle;
             --firedNodes;
@@ -315,7 +315,7 @@ InstanceExec::fire(Frame &frame, size_t idx, const MicroOp &mop,
         // Operand order: [0] = value, [1] = address.
         uint64_t addr = evalRef(frame, oprs[1]).ptr();
         MemTicket ticket;
-        if (!tile.box.submit(addr, true, now, ticket)) {
+        if (!tile.box.submit(addr, true, now, self.slot, ticket)) {
             mark = 0;
             --tile.firedThisCycle;
             --firedNodes;
@@ -506,6 +506,7 @@ InstanceExec::step(uint64_t now, Tile &tile)
 {
     tapas_assert(!done, "stepping a finished instance");
     Frame &frame = topFrame();
+    parkAt = 0;
 
     if (!frame.bb) {
         // First cycle: enter the task (or callee) entry block.
@@ -527,6 +528,10 @@ InstanceExec::step(uint64_t now, Tile &tile)
     bool has_sync_wait = false;
     bool has_call_wait = false;
     bool busy = false; // Exec/Mem/SpawnRetry/LeafCall in flight
+    // Parking: the earliest Exec/issued-Mem timer of this sweep, and
+    // whether anything must be re-tried next cycle regardless.
+    uint64_t timer = kNoWake;
+    bool retry = false;
 
     for (size_t i = 0; i < n; ++i) {
         NodeState &st = nst[i];
@@ -555,8 +560,12 @@ InstanceExec::step(uint64_t now, Tile &tile)
             }
             if (ready)
                 fire(frame, i, mop, now, tile);
-            if (st.phase == Phase::Waiting)
-                continue; // not ready, token clash, or mem reject
+            if (st.phase == Phase::Waiting) {
+                // Not ready, or ready but refused (token clash,
+                // staging-full submit): the latter retries per cycle.
+                retry = retry || ready;
+                continue;
+            }
         }
         // Advance the fired node, then census its new phase.
         switch (st.phase) {
@@ -569,6 +578,7 @@ InstanceExec::step(uint64_t now, Tile &tile)
                 sim.progressEvent();
             } else {
                 busy = true;
+                timer = std::min(timer, st.doneAt);
             }
             break;
           case Phase::Mem:
@@ -580,6 +590,10 @@ InstanceExec::step(uint64_t now, Tile &tile)
                 sim.progressEvent();
             } else {
                 busy = true;
+                // An unissued ticket (0) holds no timer: the unit
+                // wakes the instance when its data box issues it.
+                if (uint64_t c = tile.box.completesAt(st.ticket))
+                    timer = std::min(timer, c);
             }
             break;
           case Phase::SyncWait:
@@ -608,6 +622,7 @@ InstanceExec::step(uint64_t now, Tile &tile)
                 has_call_wait = true;
             else
                 busy = true; // Exec (detach accepted) or SpawnRetry
+            retry = true;
             break;
           default:
             break;
@@ -637,6 +652,11 @@ InstanceExec::step(uint64_t now, Tile &tile)
         return Status::WaitSync;
     if (has_call_wait && memInFlight == 0 && !busy)
         return Status::WaitCall;
+    // No sync wait gets here: Sync is the block's terminator, so it
+    // waits only once every other node is done, and the instance
+    // suspends above instead.
+    if (!retry)
+        parkAt = timer;
     return Status::Running;
 }
 

@@ -22,6 +22,7 @@ TaskUnit::TaskUnit(AcceleratorSim &sim, const arch::Task &task,
     tapas_assert(params.ntasks >= 1 && params.ntiles >= 1,
                  "task unit needs a queue and at least one tile");
     entries.resize(params.ntasks);
+    freeSlots.fill(params.ntasks);
     unsigned staging =
         std::max<unsigned>(4, static_cast<unsigned>(
                                   df.numMemPorts()) + 4);
@@ -43,10 +44,12 @@ TaskUnit::trySpawn(const std::vector<RtValue> &args, TaskRef parent,
         sim.emitSpawnReject(now, _task.sid(), /*queue_full=*/false);
         return SpawnOutcome::Rejected;
     }
-    for (unsigned slot = 0; slot < entries.size(); ++slot) {
+    // The lowest free slot: the slot names the instance (TaskRef,
+    // trace ids, the fault checksum), so the pick order is fixed.
+    const size_t free_slot = freeSlots.next(0);
+    if (free_slot != IndexSet::npos) {
+        const auto slot = static_cast<unsigned>(free_slot);
         QueueEntry &e = entries[slot];
-        if (e.state != EntryState::Free)
-            continue;
         // An injected fault may eat the ready/valid handshake the
         // port was about to complete; the spawner backs off and
         // retries. A rejected spawn completes no handshake, so there
@@ -57,6 +60,7 @@ TaskUnit::trySpawn(const std::vector<RtValue> &args, TaskRef parent,
             return SpawnOutcome::Dropped;
         }
         spawnAcceptedThisCycle = true;
+        freeSlots.erase(slot);
         e.state = EntryState::Ready;
         e.parent = parent;
         e.callerSite = caller_site;
@@ -183,12 +187,17 @@ void
 TaskUnit::resetFiring()
 {
     FaultInjector *inj = sim.faultInjector();
+    nextStickMin = FaultInjector::kNever;
     for (auto &t : tiles) {
         t->resetFiring();
         t->stuckUntil = 0;
         t->nextStickAt = inj ? inj->nextStickFrom(0)
                              : FaultInjector::kNever;
+        nextStickMin = std::min(nextStickMin, t->nextStickAt);
     }
+    // Park cycles are stamps of the previous run's clock too.
+    for (QueueEntry &e : entries)
+        e.parkUntil = 0;
     resetSleep();
 }
 
@@ -207,32 +216,29 @@ TaskUnit::beginCycle(uint64_t now)
 {
     spawnAcceptedThisCycle = false;
     dispatchedThisCycle = false;
-    // The firing marks are generation-stamped by cycle, so there is
-    // nothing to clear per cycle — only the fired_any tally resets,
-    // and only on awake tiles: a sleeping tile's tally is already 0
-    // (it slept off a quiet cycle and cannot fire while asleep). The
-    // loop still visits every tile.
-    for (size_t ti = 0; ti < tiles.size(); ++ti) {
-        if (tileSleepUntil[ti] == 0)
-            tiles[ti]->firedThisCycle = 0;
-    }
-    FaultInjector *inj = sim.faultInjector();
-    if (!inj)
+    // Nothing per tile: the firing marks are generation-stamped by
+    // cycle, and tick() zeroes each tile's fired_any tally when it
+    // visits the tile (a tile it does not visit is asleep, and
+    // slept off a quiet cycle with a zero tally).
+    if (now < nextStickMin)
         return;
     // Tile freezes arrive at each tile's drawn cycle. A sleeping
     // tile's wake bound includes that cycle (tileWake), so the tile
     // is due now and settles in tick() before taking the freeze.
+    FaultInjector &inj = *sim.faultInjector();
+    nextStickMin = FaultInjector::kNever;
     for (size_t ti = 0; ti < tiles.size(); ++ti) {
         Tile &t = *tiles[ti];
-        if (now < t.nextStickAt)
-            continue;
-        tapas_assert(tileSleepUntil[ti] == 0 ||
-                         tileSleepUntil[ti] == now,
-                     "tile slept past its freeze");
-        t.stuckUntil = now + inj->config().tileStuckCycles;
-        t.nextStickAt = inj->nextStickFrom(t.stuckUntil);
-        ++inj->tileStalls;
-        sim.emitFault(now, "tile_stuck", _task.sid());
+        if (now >= t.nextStickAt) {
+            tapas_assert(tileSleepUntil[ti] == 0 ||
+                             tileSleepUntil[ti] == now,
+                         "tile slept past its freeze");
+            t.stuckUntil = now + inj.config().tileStuckCycles;
+            t.nextStickAt = inj.nextStickFrom(t.stuckUntil);
+            ++inj.tileStalls;
+            sim.emitFault(now, "tile_stuck", _task.sid());
+        }
+        nextStickMin = std::min(nextStickMin, t.nextStickAt);
     }
 }
 
@@ -276,6 +282,7 @@ TaskUnit::dispatch(uint64_t now)
     e.state = EntryState::Exe;
     e.residMem = 0;
     e.residSpawn = 0;
+    e.parkUntil = 0;
     e.tile = best;
     tiles[best]->active.push_back(slot);
     dispatchedThisCycle = true;
@@ -330,6 +337,7 @@ TaskUnit::retire(unsigned slot, uint64_t now)
     // the next spawn into this slot resets and restarts it.
     e.savedArgs.clear();
     e.state = EntryState::Free;
+    freeSlots.insert(slot);
     --occupied;
     // The freed slot is what every registered spawn-waiter sleeps
     // on: wake them before anything else can race for it.
@@ -357,17 +365,21 @@ TaskUnit::tick(uint64_t now)
     tickCycle = now;
     tickTilePos = 0;
     dispatch(now);
+    if (now >= nextDue)
+        markDueTiles(now);
 
-    for (size_t ti = 0; ti < tiles.size(); ++ti) {
+    // Visit the awake and due tiles in index order. Re-reading the
+    // set after each tile picks up pokes that woke a later tile.
+    for (size_t ti = tickSet.next(0); ti != IndexSet::npos;
+         ti = tickSet.next(ti + 1)) {
         tickTilePos = ti;
         Tile &tile = *tiles[ti];
         if (tileSleepUntil[ti] != 0) {
-            if (tileSleepUntil[ti] > now)
-                continue; // asleep: provably quiet until its wake
             // Timer due: close out the skipped span, then take the
             // normal per-cycle path below.
             settleTile(static_cast<unsigned>(ti), now - 1);
         }
+        tile.firedThisCycle = 0;
         const uint64_t progressBefore = sim.progressCount();
         if (!tile.active.empty())
             ++tileBusyCycles;
@@ -375,6 +387,7 @@ TaskUnit::tick(uint64_t now)
             // Frozen pipeline: no firing, but outstanding memory
             // requests keep draining through the data box.
             tile.box.tick(now);
+            wakeIssueOwners(static_cast<unsigned>(ti));
             continue;
         }
         // Copy: instances may retire/suspend during iteration (the
@@ -385,17 +398,26 @@ TaskUnit::tick(uint64_t now)
             QueueEntry &e = entries[slot];
             tapas_assert(e.state == EntryState::Exe,
                          "active slot not in EXE");
-            InstanceExec::Status st;
-            if (counting) {
-                const uint64_t before = e.exec->firedCount();
-                st = e.exec->step(now, tile);
-                if (e.exec->firedCount() == before)
+            if (e.parkUntil > now) {
+                // Parked: this step would fire nothing.
+#ifndef NDEBUG
+                auditParked(e, now, tile);
+#endif
+                if (counting)
                     chargeResidency(e, 1);
-            } else {
-                st = e.exec->step(now, tile);
+                continue;
             }
+            const uint64_t eventsBefore = sim.progressCount();
+            const uint64_t firedBefore = e.exec->firedCount();
+            const InstanceExec::Status st = e.exec->step(now, tile);
+            if (counting && e.exec->firedCount() == firedBefore)
+                chargeResidency(e, 1);
             switch (st) {
               case InstanceExec::Status::Running:
+                // A quiet step parks the instance until its timer.
+                e.parkUntil = sim.progressCount() == eventsBefore
+                                  ? e.exec->parkWake()
+                                  : 0;
                 break;
               case InstanceExec::Status::WaitSync:
                 if (e.childCount == 0)
@@ -421,6 +443,7 @@ TaskUnit::tick(uint64_t now)
             }
         }
         tile.box.tick(now);
+        wakeIssueOwners(static_cast<unsigned>(ti));
 
         // Tile sleep: a tile that just went through a provably
         // quiet cycle (no firing, no progress event from its
@@ -434,6 +457,8 @@ TaskUnit::tick(uint64_t now)
             if (w > now + 1) {
                 tileSleepUntil[ti] = w;
                 tileSleepBase[ti] = now;
+                tickSet.erase(ti);
+                nextDue = std::min(nextDue, w);
                 --sim.awakeTiles;
                 if (w != InstanceExec::kNoWake)
                     sim.scheduleWake(w);
@@ -444,6 +469,65 @@ TaskUnit::tick(uint64_t now)
     }
     tickTilePos = tiles.size();
 }
+
+void
+TaskUnit::markDueTiles(uint64_t now)
+{
+    nextDue = InstanceExec::kNoWake;
+    for (size_t ti = 0; ti < tiles.size(); ++ti) {
+        const uint64_t w = tileSleepUntil[ti];
+        if (w == 0)
+            continue;
+        if (w <= now)
+            tickSet.insert(ti);
+        else
+            nextDue = std::min(nextDue, w);
+    }
+}
+
+void
+TaskUnit::wakeIssueOwners(unsigned t)
+{
+    for (const DataBox::Issue &is : tiles[t]->box.issued()) {
+        QueueEntry &e = entries[is.owner];
+#ifndef NDEBUG
+        tapas_assert(e.state == EntryState::Exe &&
+                         e.tile == static_cast<int>(t),
+                     "tile %u issued a request for slot %u, which "
+                     "is not its resident",
+                     t, is.owner);
+#endif
+        e.parkUntil = std::min(e.parkUntil, is.completesAt);
+    }
+}
+
+#ifndef NDEBUG
+void
+TaskUnit::auditParked(QueueEntry &e, uint64_t now, Tile &tile)
+{
+    // Step the parked instance anyway: it must fire nothing, make no
+    // progress, keep running and still be parkable, and no timer may
+    // have been missed (issue wakes may have lowered parkUntil below
+    // its own timers, never the other way round).
+    const uint64_t events = sim.progressCount();
+    const uint64_t fired = e.exec->firedCount();
+    const InstanceExec::Status st = e.exec->step(now, tile);
+    tapas_assert(st == InstanceExec::Status::Running &&
+                     sim.progressCount() == events &&
+                     e.exec->firedCount() == fired,
+                 "parked instance of '%s' acted at cycle %llu",
+                 _task.name().c_str(),
+                 static_cast<unsigned long long>(now));
+    tapas_assert(e.exec->parkWake() != 0 &&
+                     e.exec->parkWake() >= e.parkUntil,
+                 "parked instance of '%s' missed a timer at cycle "
+                 "%llu (parked until %llu, wakes at %llu)",
+                 _task.name().c_str(),
+                 static_cast<unsigned long long>(now),
+                 static_cast<unsigned long long>(e.parkUntil),
+                 static_cast<unsigned long long>(e.exec->parkWake()));
+}
+#endif
 
 uint64_t
 TaskUnit::tileWake(const Tile &tile, uint64_t now)
@@ -457,7 +541,10 @@ TaskUnit::tileWake(const Tile &tile, uint64_t now)
     // the target frees an entry, and retire() — the only free site —
     // pokes every registered waiter, so the span stays exactly
     // bounded. The tile's next drawn freeze is a timer like any
-    // other.
+    // other. Parked residents count like the rest: nextWake() sweeps
+    // every frame, so it never exceeds a resident's parkUntil, and
+    // while the tile sleeps its box issues nothing, so no issue wake
+    // can arrive early.
     waitScratch.clear();
     uint64_t wake = std::min(tile.box.stallWake(now), tile.nextStickAt);
     if (wake == 0)
@@ -465,8 +552,8 @@ TaskUnit::tileWake(const Tile &tile, uint64_t now)
     for (unsigned slot : tile.active) {
         uint64_t w =
             entries[slot].exec->nextWake(now, tile.box, waitScratch);
-        if (w == 0)
-            return 0;
+        if (w <= now + 1)
+            return 0; // due next cycle: no span to sleep
         wake = std::min(wake, w);
     }
     // A spawn-waiter sleep is only sound against a full queue: a
@@ -587,6 +674,7 @@ TaskUnit::settleTile(unsigned t, uint64_t upto)
     }
     waits.clear();
     tileSleepUntil[t] = 0;
+    tickSet.insert(t);
     ++sim.awakeTiles;
 }
 
@@ -636,6 +724,7 @@ TaskUnit::callReturned(unsigned slot, const ir::CallInst *site,
     tapas_assert(e.state != EntryState::Free,
                  "call return for a freed entry");
     e.exec->deliverCallResult(site, v);
+    e.parkUntil = 0;
     sim.progressEvent();
     // Same poke rule as childJoined: a call result delivered to an
     // instance still resident on a tile (it had not suspended yet)
@@ -692,9 +781,11 @@ TaskUnit::profileCycle()
     if (!prof)
         return;
 
+    // A sleeping tile fired nothing, so only awake ones are read.
     bool fired_any = dispatchedThisCycle;
-    for (const auto &t : tiles)
-        fired_any = fired_any || t->firedThisCycle > 0;
+    for (size_t ti = tickSet.next(0); !fired_any && ti != IndexSet::npos;
+         ti = tickSet.next(ti + 1))
+        fired_any = tiles[ti]->firedThisCycle > 0;
 
     prof->note(_task.sid(), classifyCycle(fired_any));
 }

@@ -225,7 +225,7 @@ TEST(DataBoxTest, TicketLifecycle)
 
     c.beginCycle(0);
     MemTicket t;
-    ASSERT_TRUE(box.submit(0x1000, false, 0, t));
+    ASSERT_TRUE(box.submit(0x1000, false, 0, 0, t));
     EXPECT_EQ(box.occupancy(), 1u);
     EXPECT_FALSE(box.poll(t, 0)); // not yet issued
 
@@ -245,9 +245,9 @@ TEST(DataBoxTest, StagingFullBackpressure)
     MemTicket a;
     MemTicket b;
     MemTicket d;
-    EXPECT_TRUE(box.submit(0x1000, false, 0, a));
-    EXPECT_TRUE(box.submit(0x2000, false, 0, b));
-    EXPECT_FALSE(box.submit(0x3000, false, 0, d));
+    EXPECT_TRUE(box.submit(0x1000, false, 0, 0, a));
+    EXPECT_TRUE(box.submit(0x2000, false, 0, 0, b));
+    EXPECT_FALSE(box.submit(0x3000, false, 0, 0, d));
     EXPECT_EQ(box.fullRejects.value(), 1u);
 }
 
@@ -258,14 +258,24 @@ TEST(DataBoxTest, IssueWidthOnePerCycle)
     c.beginCycle(0);
     MemTicket a;
     MemTicket b;
-    ASSERT_TRUE(box.submit(0x1000, false, 0, a));
-    ASSERT_TRUE(box.submit(0x1008, false, 0, b));
+    ASSERT_TRUE(box.submit(0x1000, false, 0, /*owner=*/3, a));
+    ASSERT_TRUE(box.submit(0x1008, false, 0, /*owner=*/5, b));
     box.tick(0);
-    // Only the first was issued; second still queued.
+    // Only the first was issued; second still queued. Each tick
+    // reports what it issued, for whom, and when it completes.
     EXPECT_EQ(c.accesses.value(), 1u);
+    ASSERT_EQ(box.issued().size(), 1u);
+    EXPECT_EQ(box.issued()[0].owner, 3u);
+    EXPECT_EQ(box.issued()[0].completesAt, box.completesAt(a));
     c.beginCycle(1);
     box.tick(1);
     EXPECT_EQ(c.accesses.value(), 2u);
+    ASSERT_EQ(box.issued().size(), 1u);
+    EXPECT_EQ(box.issued()[0].owner, 5u);
+    EXPECT_EQ(box.issued()[0].completesAt, box.completesAt(b));
+    c.beginCycle(2);
+    box.tick(2);
+    EXPECT_TRUE(box.issued().empty());
 }
 
 TEST(DataBoxTest, HeadOfLineBlocksOnCacheReject)
@@ -277,8 +287,8 @@ TEST(DataBoxTest, HeadOfLineBlocksOnCacheReject)
     c.beginCycle(0);
     MemTicket a;
     MemTicket b;
-    ASSERT_TRUE(box.submit(0x1000, false, 0, a));
-    ASSERT_TRUE(box.submit(0x2000, false, 0, b));
+    ASSERT_TRUE(box.submit(0x1000, false, 0, 0, a));
+    ASSERT_TRUE(box.submit(0x2000, false, 0, 0, b));
     box.tick(0);
     // First miss takes the only MSHR; second stalls (in-order tree).
     EXPECT_EQ(c.accesses.value(), 1u);
